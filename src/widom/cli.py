@@ -2,14 +2,20 @@
 
 Subcommands: solve, reduce, tree, recognize, check, gen.
 Results go to stdout as JSON (or GraphFile text for reduce/gen);
-diagnostics go to stderr.  Exit codes: 0 ok, 1 check suite failed,
-2 bad input, 3 graph outside the solvable class, 4 oracle size bound,
-5 invalid or missing partition.
+diagnostics go to stderr.  Exit codes:
+
+0  ok
+1  check suite failed
+2  bad input: unreadable file, malformed graph, flag value out of range
+3  graph outside the solvable class
+4  size bound of an exhaustive search (oracle, sat-partition search)
+5  invalid or missing partition
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -31,7 +37,9 @@ from .graph import Graph, WeightedGraph, unit_weights
 from .hardness import build_wid_reduction, check_reduction_class, check_reduction_equivalence
 from .io import (
     GraphFormatError,
+    PartitionError,
     emit_graph,
+    parse_dimacs,
     parse_graph,
     parse_graph_file,
     parse_partition_file,
@@ -50,17 +58,15 @@ from .satgraph import (
 from .solver import solve_constrained, solve_naive_eq1, solve_wid
 
 
-class PartitionError(ValueError):
-    """A clique/matched split was required and could not be obtained."""
-
-
 def _load(args) -> tuple[Graph | WeightedGraph, str]:
     data = Path(args.file).read_bytes()
     digest = hashlib.sha256(data).hexdigest()
-    from .io import parse_dimacs
-
-    text = data.decode()
-    g = parse_dimacs(text) if getattr(args, "dimacs", False) else parse_graph(text)
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError(f"{args.file}: line {line}: not UTF-8 text") from None
+    g = parse_dimacs(text) if args.dimacs else parse_graph(text)
     return g, digest
 
 
@@ -74,7 +80,7 @@ def _base(g: Graph | WeightedGraph) -> Graph:
     return g.graph if isinstance(g, WeightedGraph) else g
 
 
-def _parse_demands(raw_lists) -> tuple[frozenset[int], ...]:
+def _parse_demands(raw_lists, n: int) -> tuple[frozenset[int], ...]:
     out = []
     for raw in raw_lists or ():
         try:
@@ -83,6 +89,9 @@ def _parse_demands(raw_lists) -> tuple[frozenset[int], ...]:
             raise GraphFormatError(f"bad demand list {raw!r}") from None
         if not out[-1]:
             raise GraphFormatError(f"empty demand list {raw!r}")
+        for v in sorted(out[-1]):
+            if not 0 <= v < n:
+                raise GraphFormatError(f"--demand {raw!r}: vertex {v} out of range for n={n}")
     return tuple(out)
 
 
@@ -93,7 +102,9 @@ def _emit_record(record: dict) -> None:
 def _cmd_solve(args) -> int:
     g, digest = _load(args)
     wg = _as_weighted(g, args.unit_weights)
-    demands = _parse_demands(args.demand)
+    demands = _parse_demands(args.demand, wg.n)
+    if args.pin is not None and not 0 <= args.pin < wg.n:
+        raise GraphFormatError(f"--pin {args.pin}: vertex out of range for n={wg.n}")
     record = {
         "command": "solve",
         "input_hash": digest,
@@ -334,7 +345,11 @@ def _gen_graphs(args) -> list[tuple[Graph, dict]]:
     if args.kind == "named":
         if not args.name:
             raise GraphFormatError("--kind named requires --name")
-        out.append((named(args.name), {"name": args.name}))
+        try:
+            g = named(args.name)
+        except ValueError as exc:
+            raise GraphFormatError(f"--name: {exc}") from None
+        out.append((g, {"name": args.name}))
     elif args.kind == "gnp":
         if args.free:
             graphs = gnp_filtered(args.n, args.p, (P5, CO_P5), args.seed, args.count)
@@ -346,6 +361,8 @@ def _gen_graphs(args) -> list[tuple[Graph, dict]]:
             g, part = sat_random(args.size_a, args.match_b, args.p_ab, args.seed + i)
             out.append((g, {"partition": {"A": sorted(part.a), "B": sorted(part.b)}}))
     else:
+        if args.n < 1:
+            raise GraphFormatError("--kind substitution needs --n >= 1")
         hosts = gnp_filtered(args.n, args.p, (P5, CO_P5), args.seed, args.count)
         plugs = gnp_filtered(
             max(2, args.n // 2), args.p, (P5, CO_P5), args.seed + 1, args.count
@@ -365,13 +382,11 @@ def _cmd_gen(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(args.seed ^ 0x5EED)
-    lo, hi = (None, None)
-    if args.weights:
-        lo, hi = (int(tok) for tok in args.weights.split(":"))
     entries = []
     for i, (g, extra) in enumerate(produced):
         payload: Graph | WeightedGraph = g
-        if lo is not None:
+        if args.weights:
+            lo, hi = args.weights
             payload = WeightedGraph(g, tuple(rng.randint(lo, hi) for _ in range(g.n)))
         name = f"g{i:04d}.graph"
         (out_dir / name).write_text(emit_graph(payload))
@@ -389,6 +404,28 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type: a nonnegative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
+def _weight_range(text: str) -> tuple[int, int]:
+    """argparse type: MIN:MAX integers with MIN <= MAX."""
+    lo, sep, hi = text.partition(":")
+    try:
+        if sep and int(lo) <= int(hi):
+            return int(lo), int(hi)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected MIN:MAX integers with MIN <= MAX, got {text!r}")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="widom",
@@ -443,17 +480,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("named", "gnp", "sat", "substitution"),
                    required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--name", help="graph name for --kind named, e.g. C5 or domino")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=_count, default=8)
     p.add_argument("--p", type=float, default=0.3)
     p.add_argument("--free", action="store_true",
                    help="gnp: keep only graphs with neither P5 nor its complement")
-    p.add_argument("--size-a", type=int, default=4)
-    p.add_argument("--match-b", type=int, default=3)
+    p.add_argument("--size-a", type=_count, default=4)
+    p.add_argument("--match-b", type=_count, default=3)
     p.add_argument("--p-ab", type=float, default=0.4)
-    p.add_argument("--weights", metavar="MIN:MAX",
+    p.add_argument("--weights", type=_weight_range, metavar="MIN:MAX",
                    help="attach seeded random integer weights")
     p.set_defaults(func=_cmd_gen)
     return parser
@@ -475,7 +512,7 @@ def main(argv=None) -> int:
     except PartitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

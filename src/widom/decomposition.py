@@ -65,26 +65,29 @@ def is_complete_mask(adj: Sequence[int], mask: int) -> bool:
 
 
 def find_module_mask(adj: Sequence[int], mask: int) -> int:
-    """Smallest-pair splitter closure; 0 when the graph on mask is prime.
+    """Smallest-pair module closure; 0 when the graph on mask is prime.
 
-    For each vertex pair in lexicographic order, grow the pair by every
-    outside vertex adjacent to part of the current set until no vertex
-    distinguishes it; the first closure that is a proper subset of mask
-    is returned as a bitmask.
+    For each vertex pair (x, y) in lexicographic order, grow {x, y} into
+    the smallest module containing it.  An outside vertex splits the set
+    exactly when it tells x apart from some member u, so each new member
+    u brings in every outside vertex of adj[x] ^ adj[u].  The first
+    closure that is a proper subset of mask is returned as a bitmask.
     """
     verts = list(bits(mask))
     for i, x in enumerate(verts):
+        ax = adj[x]
         for y in verts[i + 1:]:
             grown = (1 << x) | (1 << y)
-            while True:
-                changed = False
-                for z in bits(mask & ~grown):
-                    inside = adj[z] & grown
-                    if inside and inside != grown:
-                        grown |= 1 << z
-                        changed = True
-                if grown == mask or not changed:
-                    break
+            pending = 1 << y
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                new = (ax ^ adj[low.bit_length() - 1]) & mask & ~grown
+                if new:
+                    grown |= new
+                    if grown == mask:
+                        break
+                    pending |= new
             if grown != mask:
                 return grown
     return 0

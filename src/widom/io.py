@@ -25,6 +25,10 @@ class GraphFormatError(ValueError):
     """Malformed graph input; message carries the line number."""
 
 
+class PartitionError(ValueError):
+    """A clique/matched split is invalid or could not be obtained."""
+
+
 def _content_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for idx, raw in enumerate(text.splitlines(), start=1):
@@ -103,7 +107,7 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise GraphFormatError(f"line {idx}: bad problem line {line!r}")
-            n = int(parts[2])
+            n, _ = _ints(idx, " ".join(parts[2:]), 2, "integer counts in 'p edge n m'")
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {idx}: edge before problem line")
@@ -148,13 +152,29 @@ def extract_meta(text: str) -> dict | None:
 
 
 def parse_partition_file(path: str | Path, n: int) -> tuple[frozenset[int], frozenset[int]]:
-    """JSON {"A": [...]} or {"A": [...], "B": [...]}; B defaults to the rest."""
+    """JSON {"A": [...]} or {"A": [...], "B": [...]}; B defaults to the rest.
+
+    Raises PartitionError when a side names a vertex that is not an
+    integer in 0..n-1.
+    """
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"partition file is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "A" not in data:
         raise GraphFormatError('partition file needs an "A" key')
-    a = frozenset(data["A"])
-    b = frozenset(data.get("B", set(range(n)) - a))
+    a = _partition_side(data, "A", n)
+    b = _partition_side(data, "B", n) if "B" in data else frozenset(range(n)) - a
     return a, b
+
+
+def _partition_side(data: dict, side: str, n: int) -> frozenset[int]:
+    raw = data[side]
+    if not isinstance(raw, list):
+        raise PartitionError(f'partition side "{side}" is not a list of vertices')
+    for v in raw:
+        if type(v) is not int:
+            raise PartitionError(f'partition side "{side}": vertex {v!r} is not an integer')
+        if not 0 <= v < n:
+            raise PartitionError(f'partition side "{side}": vertex {v} out of range for n={n}')
+    return frozenset(raw)

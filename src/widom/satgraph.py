@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .graph import Graph, bits, mask_of
+from .oracle import OracleBoundError
 from .patterns import DOMINO, SUN3, iter_induced
 
 
@@ -88,10 +89,14 @@ def find_sat_partition(g: Graph, bound: int = 20) -> SatPartition | None:
     """Exhaustive search for a valid sat-partition (first one found).
 
     Candidate B sets are built from the set of edges both of whose
-    endpoints could still be matched; exponential, hence the bound.
+    endpoints could still be matched; exponential, hence the bound,
+    past which it raises OracleBoundError.
     """
     if g.n > bound:
-        raise ValueError(f"partition search limited to n <= {bound}")
+        raise OracleBoundError(
+            f"sat-partition search limited to n <= {bound}, got n = {g.n}; "
+            "give a known partition instead (--partition)"
+        )
     # B is a union of vertex-disjoint edges; enumerate matchings.
     all_edges = sorted(g.edges)
 

@@ -20,6 +20,12 @@ optimum; the divergence is pinned by regression tests and surfaced via
 
 Subproblems never relabel: every branch works on a bitmask of root
 ids, so adjacency is shared and solutions splice by footprint union.
+Which case applies (leaf, module, good vertex) depends only on that
+mask, so ``_shape`` classifies each mask once per solve and both modes
+read the cached answer.  Vertex attributes live in a root list shared
+by the whole solve; the ``attrs`` dict a branch carries holds only the
+representatives whose attributes a module substitution overrode, and
+the memo key names just those overrides inside the mask.
 """
 
 from __future__ import annotations
@@ -28,14 +34,14 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .decomposition import (
-    NotInClassError,
+    NodeKind,
+    _raise_not_in_class,
     edge_count_within,
     find_good_vertex_mask,
     find_module_mask,
     is_complete_mask,
 )
 from .graph import Graph, WeightedGraph, bits, induced_subgraph, set_precedes
-from .patterns import CO_P5, P5, find_induced
 
 
 @dataclass(frozen=True)
@@ -107,11 +113,13 @@ def _f_leaf_candidates(adj: Sequence[int], mask: int) -> list[int]:
 
 
 class _Ctx:
-    __slots__ = ("graph", "adj", "memo", "stats")
+    __slots__ = ("graph", "adj", "base", "shapes", "memo", "stats")
 
-    def __init__(self, graph: Graph, stats: dict | None):
+    def __init__(self, graph: Graph, base: Sequence, stats: dict | None = None):
         self.graph = graph
         self.adj = graph._adj
+        self.base = base  # root attributes, indexed by vertex
+        self.shapes: dict[int, tuple[NodeKind, int]] = {}
         self.memo: dict = {}
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("subproblems", 0)
@@ -119,17 +127,51 @@ class _Ctx:
         self.stats.setdefault("assignments", 0)
 
 
-def _raise_not_in_class(ctx: _Ctx, mask: int) -> None:
-    sub, _ = induced_subgraph(ctx.graph, bits(mask))
-    occ = find_induced(sub, P5) or find_induced(sub, CO_P5)
-    raise NotInClassError(sub, occ)
+def _shape(ctx: _Ctx, mask: int) -> tuple[NodeKind, int]:
+    """The case that applies to ``mask``, classified once per solve.
+
+    Returns (LEAF_F, 0) for at most one edge, (LEAF_COMPLETE, 0),
+    (HOMOGENEOUS, module mask) or (ANTINEIGHBORHOOD, good vertex);
+    raises NotInClassError when the mask is prime without a good vertex.
+    """
+    shape = ctx.shapes.get(mask)
+    if shape is None:
+        adj = ctx.adj
+        if edge_count_within(adj, mask, limit=1) <= 1:
+            shape = (NodeKind.LEAF_F, 0)
+        elif is_complete_mask(adj, mask):
+            shape = (NodeKind.LEAF_COMPLETE, 0)
+        elif module := find_module_mask(adj, mask):
+            shape = (NodeKind.HOMOGENEOUS, module)
+        else:
+            v = find_good_vertex_mask(adj, mask)
+            if v < 0:
+                _raise_not_in_class(induced_subgraph(ctx.graph, bits(mask))[0])
+            shape = (NodeKind.ANTINEIGHBORHOOD, v)
+        ctx.shapes[mask] = shape
+    return shape
 
 
-def _eval(attrs: dict[int, _VAttr], cand: int) -> _Sol:
+def _override(ctx: _Ctx, attrs: dict, mask: int, v: int, attr) -> dict:
+    """The overrides inside ``mask`` with v's attributes set to ``attr``.
+
+    An override equal to v's root attributes is dropped, so that one
+    state never has two memo keys.
+    """
+    out = {u: a for u, a in attrs.items() if mask >> u & 1}
+    if attr == ctx.base[v]:
+        out.pop(v, None)
+    else:
+        out[v] = attr
+    return out
+
+
+def _eval(ctx: _Ctx, attrs: dict[int, _VAttr], cand: int) -> _Sol:
+    base = ctx.base
     fu = weight = 0
     foot: frozenset[int] = frozenset()
     for v in bits(cand):
-        a = attrs[v]
+        a = attrs.get(v) or base[v]
         fu += a.fu
         weight += a.weight
         foot |= a.foot
@@ -146,33 +188,31 @@ def _solve(
     attrs: dict[int, _VAttr],
     demands: frozenset[frozenset[int]],
 ) -> _Sol | None:
-    key = (
-        mask,
-        tuple((v, attrs[v].weight, attrs[v].fu, attrs[v].foot) for v in bits(mask)),
-        demands,
-    )
+    key = (mask, tuple(sorted((v, a) for v, a in attrs.items() if mask >> v & 1)), demands)
     if key in ctx.memo:
         return ctx.memo[key]
     ctx.stats["subproblems"] += 1
     ctx.stats["max_demands"] = max(ctx.stats["max_demands"], len(demands))
     adj = ctx.adj
     best: _Sol | None = None
+    kind, arg = _shape(ctx, mask)
 
-    if edge_count_within(adj, mask, limit=1) <= 1:
+    if kind is NodeKind.LEAF_F:
         for cand in _f_leaf_candidates(adj, mask):
             if _meets_all(cand, demands):
-                sol = _eval(attrs, cand)
+                sol = _eval(ctx, attrs, cand)
                 if _better(sol, best):
                     best = sol
 
-    elif is_complete_mask(adj, mask):
+    elif kind is NodeKind.LEAF_COMPLETE:
         for u in bits(mask):
             if all(u in h for h in demands):
-                sol = _eval(attrs, 1 << u)
+                sol = _eval(ctx, attrs, 1 << u)
                 if _better(sol, best):
                     best = sol
 
-    elif module := find_module_mask(adj, mask):
+    elif kind is NodeKind.HOMOGENEOUS:
+        module = arg
         m_set = frozenset(bits(module))
         h = min(m_set)
         out_mask = (mask & ~module) | (1 << h)
@@ -181,9 +221,8 @@ def _solve(
         # it in the quotient-side graph and must not be chosen.
         out_demands = _canon(hs - m_set for hs in demands)
         if out_demands is not None:
-            out_attrs = dict(attrs)
-            a = attrs[h]
-            out_attrs[h] = _VAttr(a.weight, a.fu + 1, a.foot)
+            a = attrs.get(h) or ctx.base[h]
+            out_attrs = _override(ctx, attrs, out_mask, h, _VAttr(a.weight, a.fu + 1, a.foot))
             sol = _solve(ctx, out_mask, out_attrs, out_demands)
             if sol is not None and sol.fu == 0 and _better(sol, best):
                 best = sol
@@ -208,8 +247,9 @@ def _solve(
             inner = _solve(ctx, module, attrs, inner_demands)
             if inner is None:
                 continue
-            in_attrs = dict(attrs)
-            in_attrs[h] = _VAttr(inner.weight, inner.fu, inner.foot)
+            in_attrs = _override(
+                ctx, attrs, out_mask, h, _VAttr(inner.weight, inner.fu, inner.foot)
+            )
             outer_hs.append(frozenset({h}))
             outer_demands = _canon(outer_hs)
             assert outer_demands is not None
@@ -218,9 +258,7 @@ def _solve(
                 best = sol
 
     else:
-        v = find_good_vertex_mask(adj, mask)
-        if v < 0:
-            _raise_not_in_class(ctx, mask)
+        v = arg
         nv = adj[v] & mask
 
         # v chosen: every MIS of the antineighborhood graph contains v
@@ -228,7 +266,7 @@ def _solve(
         anti = mask & ~nv
         for cand in _f_leaf_candidates(adj, anti):
             if _meets_all(cand, demands):
-                sol = _eval(attrs, cand)
+                sol = _eval(ctx, attrs, cand)
                 if _better(sol, best):
                     best = sol
 
@@ -270,14 +308,12 @@ def solve_constrained(
     with no good vertex.  ``stats``, when given, is filled with
     instrumentation counters (subproblems, max_demands, assignments).
     """
-    ctx = _Ctx(wg.graph, stats)
-    attrs = {
-        v: _VAttr(wg.weights[v], 0, frozenset({v})) for v in range(wg.n)
-    }
+    base = [_VAttr(w, 0, frozenset({v})) for v, w in enumerate(wg.weights)]
+    ctx = _Ctx(wg.graph, base, stats)
     canon = _canon(_validated_hitsets(wg, demands))
     if canon is None:
         return None
-    sol = _solve(ctx, wg.graph.full_bits, attrs, canon)
+    sol = _solve(ctx, wg.graph.full_bits, {}, canon)
     if sol is None:
         return None
     return Solution(sol.foot, sol.weight, sol.fu)
@@ -322,12 +358,12 @@ def _naive(ctx: _Ctx, mask: int, attrs: dict[int, _NAttr]) -> _NSol:
     adj = ctx.adj
 
     def eval_cand(cand: int) -> _NSol:
-        vs = list(bits(cand))
+        chosen = [attrs.get(v) or ctx.base[v] for v in bits(cand)]
         return _NSol(
-            sum(attrs[v].weight for v in vs),
-            frozenset(vs),
-            frozenset().union(*(attrs[v].foot for v in vs)) if vs else frozenset(),
-            sum(attrs[v].foot_weight for v in vs),
+            sum(a.weight for a in chosen),
+            frozenset(bits(cand)),
+            frozenset().union(*(a.foot for a in chosen)),
+            sum(a.foot_weight for a in chosen),
         )
 
     def pick_best(cands: list[int]) -> _NSol:
@@ -343,28 +379,28 @@ def _naive(ctx: _Ctx, mask: int, attrs: dict[int, _NAttr]) -> _NSol:
         assert best is not None
         return best
 
-    if edge_count_within(adj, mask, limit=1) <= 1:
+    kind, arg = _shape(ctx, mask)
+    if kind is NodeKind.LEAF_F:
         return pick_best(_f_leaf_candidates(adj, mask))
-    if is_complete_mask(adj, mask):
+    if kind is NodeKind.LEAF_COMPLETE:
         return pick_best([1 << u for u in bits(mask)])
 
-    if module := find_module_mask(adj, mask):
-        m_set = frozenset(bits(module))
-        h = min(m_set)
+    if kind is NodeKind.HOMOGENEOUS:
+        module = arg
+        h = min(bits(module))
+        out_mask = (mask & ~module) | (1 << h)
         inner = _naive(ctx, module, attrs)
-        out_attrs = dict(attrs)
-        out_attrs[h] = _NAttr(inner.value, inner.foot, inner.foot_weight)
-        outer = _naive(ctx, (mask & ~module) | (1 << h), out_attrs)
+        out_attrs = _override(
+            ctx, attrs, out_mask, h, _NAttr(inner.value, inner.foot, inner.foot_weight)
+        )
+        outer = _naive(ctx, out_mask, out_attrs)
         if h in outer.chosen:
             chosen = (outer.chosen - {h}) | inner.chosen
         else:
             chosen = outer.chosen
         return _NSol(outer.value, chosen, outer.foot, outer.foot_weight)
 
-    v = find_good_vertex_mask(adj, mask)
-    if v < 0:
-        _raise_not_in_class(ctx, mask)
-    return _naive_two_term(ctx, mask, attrs, v)
+    return _naive_two_term(ctx, mask, attrs, arg)
 
 
 def _naive_two_term(
@@ -380,11 +416,12 @@ def _naive_two_term(
     if not any(nv >> u & 1 for u in drop.chosen):
         # v ended up undominated; patch it in (independence is safe:
         # none of its neighbors were chosen), but keep the two-term value.
+        a = attrs.get(v) or ctx.base[v]
         return _NSol(
             drop.value,
             drop.chosen | {v},
-            drop.foot | attrs[v].foot,
-            drop.foot_weight + attrs[v].foot_weight,
+            drop.foot | a.foot,
+            drop.foot_weight + a.foot_weight,
         )
     return drop
 
@@ -396,18 +433,15 @@ def solve_naive_eq1(wg: WeightedGraph, pin: int | None = None) -> NaiveReport:
     the usual case order, which is how the pinned divergence
     regressions drive the recurrence into its failure modes.
     """
-    ctx = _Ctx(wg.graph, None)
-    attrs = {
-        v: _NAttr(wg.weights[v], frozenset({v}), wg.weights[v])
-        for v in range(wg.n)
-    }
+    base = [_NAttr(w, frozenset({v}), w) for v, w in enumerate(wg.weights)]
+    ctx = _Ctx(wg.graph, base)
     mask = wg.graph.full_bits
     if pin is not None:
         if not (0 <= pin < wg.n):
             raise ValueError(f"pin vertex {pin} out of range")
-        sol = _naive_two_term(ctx, mask, attrs, pin)
+        sol = _naive_two_term(ctx, mask, {}, pin)
     else:
-        sol = _naive(ctx, mask, attrs)
+        sol = _naive(ctx, mask, {})
     return NaiveReport(
         sol.value, sol.foot, wg.graph.is_maximal_independent(sol.foot)
     )

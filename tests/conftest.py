@@ -143,3 +143,43 @@ def planted_corpus():
         wplug = _weighted(plug, rng, hi=60)
         out.append((whost, slot, wplug, g, copy_ids, outer_map))
     return out
+
+
+def _split(rng: random.Random, n: int) -> Graph:
+    """Clique on the first n//2 vertices; each clique-independent pair
+    is an edge with probability 1/2."""
+    k = n // 2
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges += [(u, v) for u in range(k) for v in range(k, n) if rng.random() < 0.5]
+    return Graph(n, edges)
+
+
+def _threshold(rng: random.Random, n: int) -> Graph:
+    """Vertices added one by one, each isolated or dominating."""
+    edges = [(u, v) for v in range(n) if rng.random() < 0.5 for u in range(v)]
+    return Graph(n, edges)
+
+
+def _cograph(rng: random.Random, n: int) -> Graph:
+    """Random binary cotree: disjoint union or join at each node."""
+    if n == 1:
+        return Graph(1, [])
+    k = rng.randint(1, n - 1)
+    left, right = _cograph(rng, k), _cograph(rng, n - k)
+    edges = list(left.edges) + [(u + k, v + k) for u, v in right.edges]
+    if rng.random() < 0.5:
+        edges += [(u, v) for u in range(k) for v in range(k, n)]
+    return Graph(n, edges)
+
+
+@pytest.fixture(scope="session")
+def family_graphs() -> list[Graph]:
+    """Seeded split, threshold and cograph graphs (all in class), five
+    of each family at n = 8, 12, 16 and 20."""
+    rng = random.Random(2718)
+    return [
+        make(rng, n)
+        for n in (8, 12, 16, 20)
+        for make in (_split, _threshold, _cograph)
+        for _ in range(5)
+    ]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from widom.cli import main
+from widom.cli import _build_parser, main
 from widom.generators import domino, path, sun3
 from widom.graph import WeightedGraph
 from widom.io import emit_graph, extract_meta, parse_graph
@@ -238,3 +238,55 @@ def test_dimacs_input(tmp_path, capsys):
     f.write_text("p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n")
     code, out, _ = _run(capsys, "solve", str(f), "--dimacs", "--unit-weights")
     assert code == 0 and _record(out)["value"] == 2
+
+
+def test_parser_built_once_and_demands_do_not_leak(p4_file, capsys):
+    assert _build_parser() is _build_parser()
+    code, out, _ = _run(capsys, "solve", p4_file, "--demand", "1", "--demand", "2")
+    assert code == 0 and _record(out)["feasible"] is False
+    code, out, _ = _run(capsys, "solve", p4_file)
+    assert code == 0 and _record(out)["witness"] == [0, 2]
+
+
+# (argv, exit code, a fragment the message must contain)
+BAD_INPUTS = {
+    "demand out of range": (["solve", "{tri}", "--demand", "7"], 2, "--demand"),
+    "pin out of range": (["solve", "{tri}", "--mode", "naive", "--pin", "9"], 2, "--pin"),
+    "non-UTF-8 input": (["solve", "{latin}"], 2, "line 3"),
+    "bad DIMACS header": (["solve", "{dimacs}", "--dimacs"], 2, "line 1"),
+    "negative gen --n": (["gen", "--kind", "gnp", "--n", "-3", "--out", "{out}"], 2, "--n"),
+    "gen --weights without a colon": (
+        ["gen", "--kind", "gnp", "--n", "4", "--weights", "5", "--out", "{out}"], 2, "--weights"
+    ),
+    "directory as FILE": (["solve", "{folder}"], 2, "folder"),
+    "partition vertex out of range": (
+        ["reduce", "{tri}", "--star", "--partition", "{part9}"], 5, "vertex 9"
+    ),
+    "sat search past its bound": (["recognize", "{e22}", "--cls", "sat"], 4, "n <= 20"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_codes(case, tmp_path, capsys):
+    argv, want, fragment = BAD_INPUTS[case]
+    (tmp_path / "tri.graph").write_text("3 2\n0 1\n1 2\n")
+    (tmp_path / "latin.graph").write_bytes(b"3 1\n0 1\n# caf\xe9\n")
+    (tmp_path / "bad.dimacs").write_text("p edge x 3\ne 1 2\n")
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "part9.json").write_text('{"A": [9]}')
+    (tmp_path / "e22.graph").write_text("22 0\n")
+    paths = {
+        name: str(tmp_path / file)
+        for name, file in (
+            ("tri", "tri.graph"), ("latin", "latin.graph"), ("dimacs", "bad.dimacs"),
+            ("folder", "folder"), ("part9", "part9.json"), ("e22", "e22.graph"),
+            ("out", "gen-out"),
+        )
+    }
+    try:
+        code = main([a.format(**paths) for a in argv])
+    except SystemExit as stop:  # argparse rejects flag values this way
+        code = stop.code
+    _, err = capsys.readouterr()
+    assert code == want, err
+    assert "Traceback" not in err and fragment in err

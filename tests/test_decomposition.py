@@ -9,13 +9,14 @@ from widom.decomposition import (
     build_tree,
     find_good_vertex,
     find_homogeneous_set,
+    find_module_mask,
     is_prime,
     tree_to_dot,
     tree_to_json,
     tree_to_json_text,
 )
 from widom.generators import bull, complete, cycle, empty, gnp, path, star, sun3
-from widom.graph import Graph
+from widom.graph import Graph, bits
 
 
 def test_c4_first_module():
@@ -159,3 +160,31 @@ def test_every_inclass_graph_decomposes(inclass_corpus):
     rng = random.Random(1)
     for wg in rng.sample(inclass_corpus, 120):
         build_tree(wg.graph)
+
+
+def _fixpoint_module_mask(adj, mask):
+    """Reference: rescan every outside vertex until none splits the set."""
+    verts = list(bits(mask))
+    for i, x in enumerate(verts):
+        for y in verts[i + 1:]:
+            grown = (1 << x) | (1 << y)
+            changed = True
+            while changed and grown != mask:
+                changed = False
+                for z in bits(mask & ~grown):
+                    inside = adj[z] & grown
+                    if inside and inside != grown:
+                        grown |= 1 << z
+                        changed = True
+            if grown != mask:
+                return grown
+    return 0
+
+
+def test_module_mask_matches_fixpoint_closure(family_graphs):
+    rng = random.Random(1414)
+    graphs = [gnp(rng.randint(1, 14), rng.random(), rng) for _ in range(200)]
+    for g in graphs + family_graphs:
+        masks = [g.full_bits] + [rng.getrandbits(g.n) for _ in range(5)]
+        for mask in masks:
+            assert find_module_mask(g._adj, mask) == _fixpoint_module_mask(g._adj, mask)

@@ -8,6 +8,7 @@ from widom.generators import gnp
 from widom.graph import Graph, WeightedGraph
 from widom.io import (
     GraphFormatError,
+    PartitionError,
     emit_graph,
     extract_meta,
     parse_dimacs,
@@ -94,6 +95,8 @@ def test_dimacs():
         parse_dimacs("p edge 2 1\nq 1 2\n")
     with pytest.raises(GraphFormatError):
         parse_dimacs("")
+    with pytest.raises(GraphFormatError, match="line 1"):
+        parse_dimacs("p edge x 3\ne 1 2\n")
 
 
 def test_partition_file(tmp_path):
@@ -110,3 +113,7 @@ def test_partition_file(tmp_path):
     p.write_text('{"B": [1]}')
     with pytest.raises(GraphFormatError):
         parse_partition_file(p, 2)
+    for bad in ('{"A": [9]}', '{"A": [0], "B": [-1]}', '{"A": ["x"]}', '{"A": [true]}'):
+        p.write_text(bad)
+        with pytest.raises(PartitionError, match="vertex"):
+            parse_partition_file(p, 2)

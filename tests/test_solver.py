@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from widom.decomposition import NotInClassError
 from widom.generators import bull, complete, cycle, empty, gnp, path, star, sun3
-from widom.graph import Graph, WeightedGraph, unit_weights
+from widom.graph import Graph, WeightedGraph, bits, unit_weights
+from widom import solver
 from widom.oracle import oracle_constrained, oracle_wid
 from widom.patterns import CO_P5, P5, is_free
 from widom.solver import (
@@ -196,3 +198,43 @@ def test_naive_agrees_often_but_not_always(inclass_corpus):
         agree += rep.value == want
         assert rep.value <= want  # both branches relax maximality
     assert agree > total // 2
+
+
+def test_module_search_once_per_mask(family_graphs, monkeypatch):
+    calls: Counter = Counter()
+    search = solver.find_module_mask
+
+    def counted(adj, mask):
+        calls[mask] += 1
+        return search(adj, mask)
+
+    monkeypatch.setattr(solver, "find_module_mask", counted)
+    rng = random.Random(99)
+    for g in family_graphs:
+        calls.clear()
+        wg = WeightedGraph(g, tuple(rng.randint(1, 100) for _ in range(g.n)))
+        assert solve_wid(wg).weight == oracle_wid(wg).value
+        assert max(calls.values(), default=1) == 1
+
+
+def test_one_memo_entry_per_state(family_graphs, monkeypatch):
+    """A state is the mask, the attributes of the vertices in it and the
+    demands; the memo must neither split nor merge states."""
+    states: set = set()
+    solve = solver._solve
+
+    def recorded(ctx, mask, attrs, demands):
+        view = tuple(attrs.get(v) or ctx.base[v] for v in bits(mask))
+        states.add((mask, view, demands))
+        return solve(ctx, mask, attrs, demands)
+
+    monkeypatch.setattr(solver, "_solve", recorded)
+    rng = random.Random(5)
+    for g in family_graphs:
+        wg = WeightedGraph(g, tuple(rng.randint(1, 9) for _ in range(g.n)))
+        demands = [frozenset(rng.sample(range(g.n), 3)) for _ in range(2)]
+        for ds in ((), demands):
+            states.clear()
+            stats: dict = {}
+            solve_constrained(wg, ds, stats)
+            assert stats["subproblems"] == len(states)
