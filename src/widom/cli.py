@@ -43,6 +43,7 @@ from .io import (
     parse_graph,
     parse_graph_file,
     parse_partition_file,
+    read_text,
 )
 from .oracle import OracleBoundError, oracle_constrained, oracle_id
 from .patterns import C4, C5, C6, CO_P5, DOMINO, P5, SUN3, find_induced, is_free
@@ -59,15 +60,9 @@ from .solver import solve_constrained, solve_naive_eq1, solve_wid
 
 
 def _load(args) -> tuple[Graph | WeightedGraph, str]:
-    data = Path(args.file).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise GraphFormatError(f"{args.file}: line {line}: not UTF-8 text") from None
+    text, data = read_text(args.file)
     g = parse_dimacs(text) if args.dimacs else parse_graph(text)
-    return g, digest
+    return g, hashlib.sha256(data).hexdigest()
 
 
 def _as_weighted(g: Graph | WeightedGraph, force_unit: bool) -> WeightedGraph:
@@ -240,10 +235,19 @@ def _cmd_recognize(args) -> int:
 
 def _corpus_entries(manifest_path: str):
     root = Path(manifest_path).parent
-    manifest = json.loads(Path(manifest_path).read_text())
-    for entry in manifest["graphs"]:
-        g = parse_graph_file(root / entry["file"])
-        yield entry, g
+    try:
+        manifest = json.loads(read_text(manifest_path)[0])
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(
+            f"{manifest_path}: line {exc.lineno}: not valid JSON ({exc.msg})"
+        ) from None
+    graphs = manifest.get("graphs") if isinstance(manifest, dict) else None
+    if not isinstance(graphs, list):
+        raise GraphFormatError(f'{manifest_path}: expected an object with a "graphs" list')
+    for i, entry in enumerate(graphs):
+        if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
+            raise GraphFormatError(f'{manifest_path}: graphs[{i}] has no "file" name')
+        yield entry, parse_graph_file(root / entry["file"])
 
 
 def _entry_partition(entry, g: Graph):

@@ -6,8 +6,10 @@ contain a vertex whose antineighborhood has at most one edge.  Prime
 graphs with no such vertex are outside the guaranteed class; the search
 raises NotInClassError carrying a diagnostic witness when one exists.
 
-Internal helpers operate on (adjacency bitmasks, vertex bitmask) so the
-solver can reuse them on root-id subsets without relabeling.
+``classify_mask`` is the one place that decides which case applies.  It
+takes the input graph and a bitmask of its vertex ids, so ``build_tree``
+and both solver modes walk subsets of the input without relabeling;
+the tree relabels only to store each node's own graph.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from .patterns import CO_P5, P5, Occurrence, find_induced
 class NotInClassError(Exception):
     """The input fell outside the guaranteed graph class.
 
-    Carries the offending (sub)graph and, when one exists, an induced
-    P5 or co-P5 occurrence as evidence.  This signals bad input, not an
-    internal failure.
+    ``graph`` is the input graph, and ``occurrence``, when one exists,
+    is an induced P5 or co-P5 of the offending subgraph, given in the
+    vertex ids of ``graph``.  This signals bad input, not an internal
+    failure.
     """
 
     def __init__(self, graph: Graph, occurrence: Occurrence | None):
@@ -41,7 +44,7 @@ class NotInClassError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# mask-level helpers (shared with the solver)
+# mask-level helpers
 # ---------------------------------------------------------------------------
 
 
@@ -57,11 +60,6 @@ def edge_count_within(adj: Sequence[int], mask: int, limit: int = 1 << 60) -> in
         if count > limit:
             return count
     return count
-
-
-def is_complete_mask(adj: Sequence[int], mask: int) -> bool:
-    size = mask.bit_count()
-    return edge_count_within(adj, mask) == size * (size - 1) // 2
 
 
 def find_module_mask(adj: Sequence[int], mask: int) -> int:
@@ -117,11 +115,6 @@ def is_prime(g: Graph) -> bool:
     return find_homogeneous_set(g) is None
 
 
-def _raise_not_in_class(g: Graph) -> None:
-    occ = find_induced(g, P5) or find_induced(g, CO_P5)
-    raise NotInClassError(g, occ)
-
-
 def find_good_vertex(g: Graph) -> int:
     """Smallest-id vertex v with at most one edge in G - N(v).
 
@@ -130,7 +123,7 @@ def find_good_vertex(g: Graph) -> int:
     """
     v = find_good_vertex_mask(g._adj, g.full_bits)
     if v < 0:
-        _raise_not_in_class(g)
+        _raise_not_in_class(g, g.full_bits)
     return v
 
 
@@ -139,6 +132,41 @@ class NodeKind(Enum):
     LEAF_F = "leaf_f"
     HOMOGENEOUS = "homogeneous"
     ANTINEIGHBORHOOD = "antineighborhood"
+
+
+def _raise_not_in_class(g: Graph, mask: int) -> None:
+    """Raise NotInClassError for the subgraph of g on mask, in g's ids."""
+    verts = list(bits(mask))
+    sub, _ = induced_subgraph(g, verts)
+    occ = find_induced(sub, P5) or find_induced(sub, CO_P5)
+    if occ is not None:
+        occ = Occurrence(occ.pattern_name, tuple(verts[i] for i in occ.vertices))
+    raise NotInClassError(g, occ)
+
+
+def classify_mask(g: Graph, mask: int) -> tuple[NodeKind, int]:
+    """The case of the decomposition that applies to g's subgraph on mask.
+
+    The one case chain, read by ``build_tree`` and both solver modes:
+    (LEAF_COMPLETE, 0) when complete, else (LEAF_F, 0) when it has at
+    most one edge, else (HOMOGENEOUS, module mask) for the first
+    smallest-pair module, else (ANTINEIGHBORHOOD, good vertex).  Raises
+    NotInClassError, in g's ids, when it is prime with no good vertex.
+    """
+    adj = g._adj
+    size = mask.bit_count()
+    edges = edge_count_within(adj, mask)
+    if edges == size * (size - 1) // 2:
+        return NodeKind.LEAF_COMPLETE, 0
+    if edges <= 1:
+        return NodeKind.LEAF_F, 0
+    module = find_module_mask(adj, mask)
+    if module:
+        return NodeKind.HOMOGENEOUS, module
+    v = find_good_vertex_mask(adj, mask)
+    if v < 0:
+        _raise_not_in_class(g, mask)
+    return NodeKind.ANTINEIGHBORHOOD, v
 
 
 @dataclass(frozen=True)
@@ -164,54 +192,41 @@ class DecompTree:
     internal_count: int
 
 
-def _build(g: Graph, to_root: tuple[int, ...]) -> DecompNode:
-    if g.is_complete():
-        return DecompNode(NodeKind.LEAF_COMPLETE, g, to_root)
-    if len(g.edges) <= 1:
-        return DecompNode(NodeKind.LEAF_F, g, to_root)
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
-    module = find_homogeneous_set(g)
-    if module is not None:
-        h = min(module)
-        a = min(module - {h})
-        b = min(v for v in range(g.n) if v not in module)
-        inner, in_map = induced_subgraph(g, module)
-        outer, out_map = induced_subgraph(
-            g, [v for v in range(g.n) if v not in module or v == h]
-        )
-        inner_root = tuple(to_root[old] for old in sorted(in_map))
-        outer_root = tuple(to_root[old] for old in sorted(out_map))
+
+def _build(g: Graph, mask: int) -> DecompNode:
+    kind, arg = classify_mask(g, mask)
+    graph, local = induced_subgraph(g, bits(mask))
+    to_root = tuple(local)
+    if kind is NodeKind.HOMOGENEOUS:
+        h = _low(arg)
         return DecompNode(
-            NodeKind.HOMOGENEOUS,
-            g,
+            kind,
+            graph,
             to_root,
-            label=(to_root[a], to_root[b]),
-            module=module,
-            rep=h,
-            children=(_build(inner, inner_root), _build(outer, outer_root)),
+            label=(_low(arg & ~(1 << h)), _low(mask & ~arg)),
+            module=frozenset(local[v] for v in bits(arg)),
+            rep=local[h],
+            children=(_build(g, arg), _build(g, (mask & ~arg) | 1 << h)),
         )
-
-    v = find_good_vertex(g)  # raises NotInClassError when absent
-    b = min(g.neighborhood(v))
-    anti_local = sorted(bits(g.full_bits & ~g.adj_bits(v)))
-    anti, _ = induced_subgraph(g, anti_local)
-    anti_root = tuple(to_root[old] for old in anti_local)
-    rest_local = [u for u in range(g.n) if u != v]
-    rest, _ = induced_subgraph(g, rest_local)
-    rest_root = tuple(to_root[old] for old in rest_local)
-    return DecompNode(
-        NodeKind.ANTINEIGHBORHOOD,
-        g,
-        to_root,
-        label=(to_root[v], to_root[b]),
-        rep=v,
-        children=(_build(anti, anti_root), _build(rest, rest_root)),
-    )
+    if kind is NodeKind.ANTINEIGHBORHOOD:
+        v = arg
+        return DecompNode(
+            kind,
+            graph,
+            to_root,
+            label=(v, _low(g._adj[v] & mask)),
+            rep=local[v],
+            children=(_build(g, mask & ~g._adj[v]), _build(g, mask & ~(1 << v))),
+        )
+    return DecompNode(kind, graph, to_root)
 
 
 def build_tree(g: Graph) -> DecompTree:
     """Deterministic decomposition tree of g (root ids in all labels)."""
-    root = _build(g, tuple(range(g.n)))
+    root = _build(g, g.full_bits)
     nodes = list(root.walk())
     internal = sum(1 for node in nodes if node.label is not None)
     return DecompTree(root, len(nodes), internal)

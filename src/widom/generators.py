@@ -13,7 +13,7 @@ import re
 from typing import Sequence
 
 from .graph import Graph
-from .patterns import PatternLike, is_free
+from .patterns import Pattern, is_free
 from .satgraph import SatPartition, sat_partition
 
 
@@ -110,7 +110,7 @@ def gnp(n: int, p: float, rng: random.Random) -> Graph:
 def gnp_filtered(
     n: int,
     p: float,
-    forbidden: Sequence[PatternLike],
+    forbidden: Sequence[Pattern],
     seed: int,
     count: int,
     budget: int = 2000,

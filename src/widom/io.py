@@ -123,9 +123,27 @@ def parse_dimacs(text: str) -> Graph:
         raise GraphFormatError(str(exc)) from None
 
 
+def read_text(path: str | Path) -> tuple[str, bytes]:
+    """A file's UTF-8 text and its raw bytes.
+
+    Raises GraphFormatError naming the file and the line of the first
+    byte that is not UTF-8.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode(), data
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError(f"{path}: line {line}: not UTF-8 text") from None
+
+
 def parse_graph_file(path: str | Path, dimacs: bool = False) -> Graph | WeightedGraph:
-    text = Path(path).read_text()
-    return parse_dimacs(text) if dimacs else parse_graph(text)
+    """Parse a graph file; a GraphFormatError names the file."""
+    text, _ = read_text(path)
+    try:
+        return parse_dimacs(text) if dimacs else parse_graph(text)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
 
 
 def emit_graph(g: Graph | WeightedGraph, meta: dict | None = None) -> str:
@@ -158,7 +176,7 @@ def parse_partition_file(path: str | Path, n: int) -> tuple[frozenset[int], froz
     integer in 0..n-1.
     """
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(read_text(path)[0])
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"partition file is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "A" not in data:

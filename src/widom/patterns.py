@@ -10,7 +10,7 @@ is therefore the lexicographically smallest witness tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .graph import Graph, bits
 
@@ -28,25 +28,8 @@ class Pattern:
 
 
 @dataclass(frozen=True)
-class CycleGe:
-    """Matches any induced cycle with at least ``min_len`` vertices."""
-
-    min_len: int
-
-    @property
-    def name(self) -> str:
-        return f"CYCLE_GE_{self.min_len}"
-
-
-PatternLike = Union[Pattern, CycleGe]
-
-
-@dataclass(frozen=True)
 class Occurrence:
-    """An induced embedding: vertices[i] hosts pattern vertex i.
-
-    For CycleGe the tuple lists the cycle in traversal order.
-    """
+    """An induced embedding: vertices[i] hosts pattern vertex i."""
 
     pattern_name: str
     vertices: tuple[int, ...]
@@ -131,58 +114,8 @@ def _match_fixed(g: Graph, pat: Pattern, yield_all: bool) -> Iterator[tuple[int,
             return
 
 
-def _find_long_cycle(g: Graph, min_len: int) -> tuple[int, ...] | None:
-    """Smallest induced cycle of length >= min_len, shortest length first.
-
-    Canonical form: the path starts at the cycle's minimum vertex, so
-    every later vertex must exceed the start; within one target length
-    the DFS explores hosts in increasing order.
-    """
-    n = g.n
-    if min_len > n:
-        return None
-    for target in range(max(min_len, 3), n + 1):
-        for start in range(n):
-            path = [start]
-            pmask = 1 << start
-
-            def dfs(last: int, depth: int) -> tuple[int, ...] | None:
-                nonlocal pmask
-                if depth == target:
-                    if g.adjacent(last, start):
-                        return tuple(path)
-                    return None
-                for c in bits(g.adj_bits(last) & ~pmask):
-                    if c <= start:
-                        continue
-                    # induced: c may touch the path only at `last`
-                    # (and close on `start` at full depth)
-                    inner = g.adj_bits(c) & pmask & ~(1 << last)
-                    if depth + 1 == target:
-                        if inner != (1 << start):
-                            continue
-                    elif inner:
-                        continue
-                    path.append(c)
-                    pmask |= 1 << c
-                    hit = dfs(c, depth + 1)
-                    if hit:
-                        return hit
-                    path.pop()
-                    pmask ^= 1 << c
-                return None
-
-            hit = dfs(start, 1)
-            if hit:
-                return hit
-    return None
-
-
-def find_induced(g: Graph, pattern: PatternLike) -> Occurrence | None:
+def find_induced(g: Graph, pattern: Pattern) -> Occurrence | None:
     """First induced occurrence of ``pattern`` in ``g``, or None."""
-    if isinstance(pattern, CycleGe):
-        hit = _find_long_cycle(g, pattern.min_len)
-        return Occurrence(pattern.name, hit) if hit else None
     for hit in _match_fixed(g, pattern, yield_all=False):
         return Occurrence(pattern.name, hit)
     return None
@@ -194,7 +127,7 @@ def iter_induced(g: Graph, pattern: Pattern) -> Iterator[Occurrence]:
         yield Occurrence(pattern.name, hit)
 
 
-def is_free(g: Graph, patterns: Sequence[PatternLike]) -> bool:
+def is_free(g: Graph, patterns: Sequence[Pattern]) -> bool:
     return all(find_induced(g, p) is None for p in patterns)
 
 

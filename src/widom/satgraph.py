@@ -170,7 +170,8 @@ def gamma_transform(g: Graph, part: SatPartition, a: int, b: int) -> GammaResult
     return GammaResult(g2, part2, markers, v, x, y, tuple(range(g.n)))
 
 
-def _ab_edges(g: Graph, part: SatPartition) -> list[tuple[int, int]]:
+def ab_edges(g: Graph, part: SatPartition) -> list[tuple[int, int]]:
+    """The (a, b) pairs with a in A, b in B, ab an edge; sorted."""
     return sorted(
         (a, b) for (u, w) in g.edges
         for a, b in ((u, w), (w, u))
@@ -185,7 +186,7 @@ def star_transform(g: Graph, part: SatPartition) -> StarResult:
     graph's A-B edges are rewired, which is what makes the result free
     of induced dominoes and 3-suns.
     """
-    todo = _ab_edges(g, part)
+    todo = ab_edges(g, part)
     cur, cur_part, markers = g, part, EMPTY_MARKERS
     for a, b in todo:
         cur, cur_part, markers, _ = _one_gamma(cur, cur_part, markers, a, b)
@@ -261,8 +262,3 @@ def check_gstar_properties(
         if sorted(sides) != [False, True]:
             return f"new B-edge ({x},{y}) lacks the new/old A-neighbor split"
     return None
-
-
-def ab_edges(g: Graph, part: SatPartition) -> list[tuple[int, int]]:
-    """The (a, b) pairs with a in A, b in B, ab an edge; sorted."""
-    return _ab_edges(g, part)

@@ -21,8 +21,9 @@ optimum; the divergence is pinned by regression tests and surfaced via
 Subproblems never relabel: every branch works on a bitmask of root
 ids, so adjacency is shared and solutions splice by footprint union.
 Which case applies (leaf, module, good vertex) depends only on that
-mask, so ``_shape`` classifies each mask once per solve and both modes
-read the cached answer.  Vertex attributes live in a root list shared
+mask and is decided by ``decomposition.classify_mask``, the case chain
+the tree uses too; ``_shape`` caches its answer once per mask per solve
+and both modes read it.  Vertex attributes live in a root list shared
 by the whole solve; the ``attrs`` dict a branch carries holds only the
 representatives whose attributes a module substitution overrode, and
 the memo key names just those overrides inside the mask.
@@ -33,31 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .decomposition import (
-    NodeKind,
-    _raise_not_in_class,
-    edge_count_within,
-    find_good_vertex_mask,
-    find_module_mask,
-    is_complete_mask,
-)
+from .decomposition import NodeKind, classify_mask
 from .graph import Graph, WeightedGraph, bits, induced_subgraph, set_precedes
-
-
-@dataclass(frozen=True)
-class Demand:
-    """An obligation: the solution must intersect ``hitset`` (root ids).
-
-    ``ghost`` names the deleted vertex the obligation dominates, when
-    there is one; it is bookkeeping only and never affects values.
-    """
-
-    hitset: frozenset[int]
-    ghost: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.hitset:
-            raise ValueError("a demand needs a nonempty hitset")
 
 
 @dataclass(frozen=True)
@@ -91,7 +69,7 @@ def _better(a: _Sol, b: _Sol | None) -> bool:
 
 def _canon(hitsets: Iterable[frozenset[int]]) -> frozenset[frozenset[int]] | None:
     """Dedupe and drop supersets; None signals an unsatisfiable demand."""
-    pool = sorted(set(hitsets), key=lambda h: (len(h), sorted(h)))
+    pool = sorted(set(hitsets), key=len)
     kept: list[frozenset[int]] = []
     for h in pool:
         if not h:
@@ -102,8 +80,14 @@ def _canon(hitsets: Iterable[frozenset[int]]) -> frozenset[frozenset[int]] | Non
     return frozenset(kept)
 
 
-def _f_leaf_candidates(adj: Sequence[int], mask: int) -> list[int]:
-    """MIS candidates of a <=1-edge graph: V, or V minus either endpoint."""
+def _leaf_candidates(adj: Sequence[int], mask: int, kind: NodeKind) -> list[int]:
+    """The maximal independent sets of a leaf mask.
+
+    A complete leaf has its single vertices (the empty mask has only the
+    empty set); a <=1-edge leaf has V, or V minus either endpoint.
+    """
+    if kind is NodeKind.LEAF_COMPLETE:
+        return [1 << u for u in bits(mask)] or [0]
     for u in bits(mask):
         inside = adj[u] & mask
         if inside:
@@ -128,27 +112,10 @@ class _Ctx:
 
 
 def _shape(ctx: _Ctx, mask: int) -> tuple[NodeKind, int]:
-    """The case that applies to ``mask``, classified once per solve.
-
-    Returns (LEAF_F, 0) for at most one edge, (LEAF_COMPLETE, 0),
-    (HOMOGENEOUS, module mask) or (ANTINEIGHBORHOOD, good vertex);
-    raises NotInClassError when the mask is prime without a good vertex.
-    """
+    """``classify_mask`` on ``mask``, computed once per solve."""
     shape = ctx.shapes.get(mask)
     if shape is None:
-        adj = ctx.adj
-        if edge_count_within(adj, mask, limit=1) <= 1:
-            shape = (NodeKind.LEAF_F, 0)
-        elif is_complete_mask(adj, mask):
-            shape = (NodeKind.LEAF_COMPLETE, 0)
-        elif module := find_module_mask(adj, mask):
-            shape = (NodeKind.HOMOGENEOUS, module)
-        else:
-            v = find_good_vertex_mask(adj, mask)
-            if v < 0:
-                _raise_not_in_class(induced_subgraph(ctx.graph, bits(mask))[0])
-            shape = (NodeKind.ANTINEIGHBORHOOD, v)
-        ctx.shapes[mask] = shape
+        shape = ctx.shapes[mask] = classify_mask(ctx.graph, mask)
     return shape
 
 
@@ -178,8 +145,20 @@ def _eval(ctx: _Ctx, attrs: dict[int, _VAttr], cand: int) -> _Sol:
     return _Sol(fu, weight, foot)
 
 
-def _meets_all(cand: int, demands: frozenset[frozenset[int]]) -> bool:
-    return all(any(cand >> u & 1 for u in h) for h in demands)
+def _best_candidate(
+    ctx: _Ctx,
+    attrs: dict[int, _VAttr],
+    cands: list[int],
+    demands: frozenset[frozenset[int]],
+) -> _Sol | None:
+    """The best of ``cands`` that meets every demand, or None."""
+    best: _Sol | None = None
+    for cand in cands:
+        if all(any(cand >> u & 1 for u in h) for h in demands):
+            sol = _eval(ctx, attrs, cand)
+            if _better(sol, best):
+                best = sol
+    return best
 
 
 def _solve(
@@ -197,21 +176,7 @@ def _solve(
     best: _Sol | None = None
     kind, arg = _shape(ctx, mask)
 
-    if kind is NodeKind.LEAF_F:
-        for cand in _f_leaf_candidates(adj, mask):
-            if _meets_all(cand, demands):
-                sol = _eval(ctx, attrs, cand)
-                if _better(sol, best):
-                    best = sol
-
-    elif kind is NodeKind.LEAF_COMPLETE:
-        for u in bits(mask):
-            if all(u in h for h in demands):
-                sol = _eval(ctx, attrs, 1 << u)
-                if _better(sol, best):
-                    best = sol
-
-    elif kind is NodeKind.HOMOGENEOUS:
+    if kind is NodeKind.HOMOGENEOUS:
         module = arg
         m_set = frozenset(bits(module))
         h = min(m_set)
@@ -257,18 +222,14 @@ def _solve(
             if sol is not None and _better(sol, best):
                 best = sol
 
-    else:
+    elif kind is NodeKind.ANTINEIGHBORHOOD:
         v = arg
         nv = adj[v] & mask
 
         # v chosen: every MIS of the antineighborhood graph contains v
         # and is automatically maximal in the whole graph.
-        anti = mask & ~nv
-        for cand in _f_leaf_candidates(adj, anti):
-            if _meets_all(cand, demands):
-                sol = _eval(ctx, attrs, cand)
-                if _better(sol, best):
-                    best = sol
+        anti = _leaf_candidates(adj, mask & ~nv, NodeKind.LEAF_F)
+        best = _best_candidate(ctx, attrs, anti, demands)
 
         # v not chosen: it must still be dominated, hence a new demand.
         shrunk = _canon(
@@ -279,16 +240,20 @@ def _solve(
             if sol is not None and _better(sol, best):
                 best = sol
 
+    else:
+        cands = _leaf_candidates(adj, mask, kind)
+        best = _best_candidate(ctx, attrs, cands, demands)
+
     ctx.memo[key] = best
     return best
 
 
 def _validated_hitsets(
-    wg: WeightedGraph, demands: Iterable[Demand | frozenset[int]]
+    wg: WeightedGraph, demands: Iterable[Iterable[int]]
 ) -> list[frozenset[int]]:
     out = []
     for d in demands:
-        hitset = d.hitset if isinstance(d, Demand) else frozenset(d)
+        hitset = frozenset(d)
         if not hitset:
             raise ValueError("empty demand hitset")
         if any(not (0 <= u < wg.n) for u in hitset):
@@ -299,10 +264,13 @@ def _validated_hitsets(
 
 def solve_constrained(
     wg: WeightedGraph,
-    demands: Iterable[Demand | frozenset[int]] = (),
+    demands: Iterable[Iterable[int]] = (),
     stats: dict | None = None,
 ) -> Solution | None:
-    """Minimum-weight MIS intersecting every demand hitset, or None.
+    """Minimum-weight MIS intersecting every demand, or None.
+
+    Each demand is a nonempty collection of vertex ids; an empty or
+    out-of-range one raises ValueError.
 
     Raises NotInClassError when the recursion meets a prime subgraph
     with no good vertex.  ``stats``, when given, is filled with
@@ -380,11 +348,6 @@ def _naive(ctx: _Ctx, mask: int, attrs: dict[int, _NAttr]) -> _NSol:
         return best
 
     kind, arg = _shape(ctx, mask)
-    if kind is NodeKind.LEAF_F:
-        return pick_best(_f_leaf_candidates(adj, mask))
-    if kind is NodeKind.LEAF_COMPLETE:
-        return pick_best([1 << u for u in bits(mask)])
-
     if kind is NodeKind.HOMOGENEOUS:
         module = arg
         h = min(bits(module))
@@ -399,8 +362,9 @@ def _naive(ctx: _Ctx, mask: int, attrs: dict[int, _NAttr]) -> _NSol:
         else:
             chosen = outer.chosen
         return _NSol(outer.value, chosen, outer.foot, outer.foot_weight)
-
-    return _naive_two_term(ctx, mask, attrs, arg)
+    if kind is NodeKind.ANTINEIGHBORHOOD:
+        return _naive_two_term(ctx, mask, attrs, arg)
+    return pick_best(_leaf_candidates(adj, mask, kind))
 
 
 def _naive_two_term(

@@ -183,3 +183,11 @@ def family_graphs() -> list[Graph]:
         for make in (_split, _threshold, _cograph)
         for _ in range(5)
     ]
+
+
+@pytest.fixture(scope="session")
+def c6_module() -> Graph:
+    """C6 on vertices 3..8, each joined to 0, 1 and 2.  The C6 is a
+    module, and the first induced P5 inside it is (3, 4, 5, 6, 7)."""
+    cycle_edges = [(3 + i, 3 + (i + 1) % 6) for i in range(6)]
+    return Graph(9, cycle_edges + [(u, c) for u in range(3) for c in range(3, 9)])

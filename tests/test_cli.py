@@ -263,24 +263,48 @@ BAD_INPUTS = {
         ["reduce", "{tri}", "--star", "--partition", "{part9}"], 5, "vertex 9"
     ),
     "sat search past its bound": (["recognize", "{e22}", "--cls", "sat"], 4, "n <= 20"),
+    "obstruction inside a module": (["solve", "{c6}"], 3, "P5 at (3, 4, 5, 6, 7)"),
+    "check manifest not JSON": (
+        ["check", "--suite", "solver", "--corpus", "{notjson}"], 2, "notjson.json: line 1"
+    ),
+    "check manifest not an object": (
+        ["check", "--suite", "solver", "--corpus", "{listjson}"], 2, "list.json"
+    ),
+    "check entry without a file": (
+        ["check", "--suite", "solver", "--corpus", "{nofile}"], 2, "graphs[1]"
+    ),
+    "check graph file malformed": (
+        ["check", "--suite", "solver", "--corpus", "{dimacsjson}"], 2, "bad.dimacs: line 1"
+    ),
+    "check graph file not UTF-8": (
+        ["check", "--suite", "solver", "--corpus", "{latinjson}"], 2, "latin.graph: line 3"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exit_codes(case, tmp_path, capsys):
+def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
     argv, want, fragment = BAD_INPUTS[case]
+    (tmp_path / "c6.graph").write_text(emit_graph(c6_module))
     (tmp_path / "tri.graph").write_text("3 2\n0 1\n1 2\n")
     (tmp_path / "latin.graph").write_bytes(b"3 1\n0 1\n# caf\xe9\n")
     (tmp_path / "bad.dimacs").write_text("p edge x 3\ne 1 2\n")
     (tmp_path / "folder").mkdir()
     (tmp_path / "part9.json").write_text('{"A": [9]}')
     (tmp_path / "e22.graph").write_text("22 0\n")
+    (tmp_path / "notjson.json").write_text("not json")
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "nofile.json").write_text('{"graphs": [{"file": "tri.graph"}, {"n": 3}]}')
+    (tmp_path / "latin.json").write_text('{"graphs": [{"file": "latin.graph"}]}')
+    (tmp_path / "dimacs.json").write_text('{"graphs": [{"file": "bad.dimacs"}]}')
     paths = {
         name: str(tmp_path / file)
         for name, file in (
             ("tri", "tri.graph"), ("latin", "latin.graph"), ("dimacs", "bad.dimacs"),
             ("folder", "folder"), ("part9", "part9.json"), ("e22", "e22.graph"),
-            ("out", "gen-out"),
+            ("out", "gen-out"), ("notjson", "notjson.json"), ("listjson", "list.json"),
+            ("nofile", "nofile.json"), ("latinjson", "latin.json"), ("c6", "c6.graph"),
+            ("dimacsjson", "dimacs.json"),
         )
     }
     try:

@@ -7,6 +7,7 @@ from widom.decomposition import (
     NodeKind,
     NotInClassError,
     build_tree,
+    classify_mask,
     find_good_vertex,
     find_homogeneous_set,
     find_module_mask,
@@ -16,7 +17,8 @@ from widom.decomposition import (
     tree_to_json_text,
 )
 from widom.generators import bull, complete, cycle, empty, gnp, path, star, sun3
-from widom.graph import Graph, bits
+from widom.graph import Graph, bits, mask_of
+from widom.solver import solve_id
 
 
 def test_c4_first_module():
@@ -107,6 +109,21 @@ def test_not_in_class_diagnostic():
     assert "P5" in str(err.value)
 
 
+def test_not_in_class_names_root_vertices(c6_module):
+    # the obstruction lies inside a module, yet is reported in input ids
+    for run in (build_tree, solve_id):
+        with pytest.raises(NotInClassError) as err:
+            run(c6_module)
+        assert err.value.graph is c6_module
+        assert err.value.occurrence.vertices == (3, 4, 5, 6, 7)
+
+
+def test_empty_graph_tree():
+    t = build_tree(Graph(0, []))
+    assert t.root.kind is NodeKind.LEAF_COMPLETE
+    assert t.root.to_root == () and t.node_count == 1
+
+
 def test_sun3_tree_builds():
     # in class even though it defeats the clique/matched split
     t = build_tree(sun3())
@@ -188,3 +205,15 @@ def test_module_mask_matches_fixpoint_closure(family_graphs):
         masks = [g.full_bits] + [rng.getrandbits(g.n) for _ in range(5)]
         for mask in masks:
             assert find_module_mask(g._adj, mask) == _fixpoint_module_mask(g._adj, mask)
+
+
+def test_classify_mask_agrees_with_tree_nodes(inclass_corpus, family_graphs):
+    for g in [wg.graph for wg in inclass_corpus[:60]] + family_graphs:
+        for node in build_tree(g).root.walk():
+            kind, arg = classify_mask(g, mask_of(node.to_root))
+            assert kind is node.kind
+            if kind is NodeKind.HOMOGENEOUS:
+                assert {node.to_root[v] for v in node.module} == set(bits(arg))
+                assert node.to_root[node.rep] == min(bits(arg))
+            elif kind is NodeKind.ANTINEIGHBORHOOD:
+                assert node.to_root[node.rep] == arg

@@ -180,6 +180,11 @@ def test_naive_pinned_bull():
     assert solve_wid(wg).weight == 6
 
 
+def test_naive_on_empty_graph():
+    rep = solve_naive_eq1(WeightedGraph(empty(0), ()))
+    assert rep.value == 0 and rep.witness == frozenset() and rep.witness_is_mis
+
+
 def test_naive_pin_validation():
     wg = unit_weights(path(4))
     with pytest.raises(ValueError):
@@ -202,13 +207,13 @@ def test_naive_agrees_often_but_not_always(inclass_corpus):
 
 def test_module_search_once_per_mask(family_graphs, monkeypatch):
     calls: Counter = Counter()
-    search = solver.find_module_mask
+    classify = solver.classify_mask
 
-    def counted(adj, mask):
+    def counted(g, mask):
         calls[mask] += 1
-        return search(adj, mask)
+        return classify(g, mask)
 
-    monkeypatch.setattr(solver, "find_module_mask", counted)
+    monkeypatch.setattr(solver, "classify_mask", counted)
     rng = random.Random(99)
     for g in family_graphs:
         calls.clear()
