@@ -43,6 +43,7 @@ from .io import (
     parse_graph,
     parse_graph_file,
     parse_partition_file,
+    partition_sides,
     read_text,
 )
 from .oracle import OracleBoundError, oracle_constrained, oracle_id
@@ -141,13 +142,16 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _checked_partition(g: Graph, sides, source: str):
+    try:
+        return sat_partition(g, *sides)
+    except ValueError as exc:
+        raise PartitionError(f"{source}: {exc}") from None
+
+
 def _obtain_partition(g: Graph, args):
     if args.partition:
-        a, b = parse_partition_file(args.partition, g.n)
-        try:
-            return sat_partition(g, a, b)
-        except ValueError as exc:
-            raise PartitionError(str(exc)) from None
+        return _checked_partition(g, parse_partition_file(args.partition, g.n), args.partition)
     part = find_sat_partition(g)
     if part is None:
         raise PartitionError("input admits no valid clique/matched split")
@@ -253,8 +257,8 @@ def _corpus_entries(manifest_path: str):
 def _entry_partition(entry, g: Graph):
     if "partition" not in entry:
         raise PartitionError(f"{entry['file']}: manifest has no partition")
-    a = frozenset(entry["partition"]["A"])
-    return sat_partition(g, a, frozenset(range(g.n)) - a)
+    sides = partition_sides(entry["partition"], g.n, entry["file"])
+    return _checked_partition(g, sides, entry["file"])
 
 
 def _check_one(suite: str, entry, g: Graph | WeightedGraph) -> str | None:

@@ -8,8 +8,9 @@ raises NotInClassError carrying a diagnostic witness when one exists.
 
 ``classify_mask`` is the one place that decides which case applies.  It
 takes the input graph and a bitmask of its vertex ids, so ``build_tree``
-and both solver modes walk subsets of the input without relabeling;
-the tree relabels only to store each node's own graph.
+and both solver modes walk subsets of the input without relabeling.
+Tree nodes hold root-id masks too, and the JSON and DOT writers read
+vertex lists and sizes straight off them.
 """
 
 from __future__ import annotations
@@ -172,11 +173,10 @@ def classify_mask(g: Graph, mask: int) -> tuple[NodeKind, int]:
 @dataclass(frozen=True)
 class DecompNode:
     kind: NodeKind
-    graph: Graph
-    to_root: tuple[int, ...]
+    mask: int  # the node's vertices, as a bitmask of root ids
     label: tuple[int, int] | None = None  # root ids, internal nodes only
-    module: frozenset[int] | None = None  # local ids, homogeneous nodes
-    rep: int | None = None  # local id: h for homogeneous, v for antineighborhood
+    module: int | None = None  # root-id bitmask, homogeneous nodes only
+    rep: int | None = None  # root id: h for homogeneous, v for antineighborhood
     children: tuple["DecompNode", ...] = field(default_factory=tuple)
 
     def walk(self):
@@ -198,30 +198,26 @@ def _low(mask: int) -> int:
 
 def _build(g: Graph, mask: int) -> DecompNode:
     kind, arg = classify_mask(g, mask)
-    graph, local = induced_subgraph(g, bits(mask))
-    to_root = tuple(local)
     if kind is NodeKind.HOMOGENEOUS:
         h = _low(arg)
         return DecompNode(
             kind,
-            graph,
-            to_root,
+            mask,
             label=(_low(arg & ~(1 << h)), _low(mask & ~arg)),
-            module=frozenset(local[v] for v in bits(arg)),
-            rep=local[h],
+            module=arg,
+            rep=h,
             children=(_build(g, arg), _build(g, (mask & ~arg) | 1 << h)),
         )
     if kind is NodeKind.ANTINEIGHBORHOOD:
         v = arg
         return DecompNode(
             kind,
-            graph,
-            to_root,
+            mask,
             label=(v, _low(g._adj[v] & mask)),
-            rep=local[v],
+            rep=v,
             children=(_build(g, mask & ~g._adj[v]), _build(g, mask & ~(1 << v))),
         )
-    return DecompNode(kind, graph, to_root)
+    return DecompNode(kind, mask)
 
 
 def build_tree(g: Graph) -> DecompTree:
@@ -236,15 +232,14 @@ def tree_to_json(tree: DecompTree) -> dict:
     def encode(node: DecompNode) -> dict:
         out: dict = {
             "kind": node.kind.value,
-            "n": node.graph.n,
-            "vertices": list(node.to_root),
+            "n": node.mask.bit_count(),
+            "vertices": list(bits(node.mask)),
         }
         if node.label is not None:
             out["label"] = list(node.label)
+            out["rep"] = node.rep
         if node.module is not None:
-            out["module"] = sorted(node.to_root[v] for v in node.module)
-        if node.rep is not None:
-            out["rep"] = node.to_root[node.rep]
+            out["module"] = list(bits(node.module))
         if node.children:
             out["children"] = [encode(c) for c in node.children]
         return out
@@ -264,7 +259,7 @@ def tree_to_dot(tree: DecompTree) -> str:
         nonlocal counter
         my_id = counter
         counter += 1
-        text = f"{node.kind.value}\\nn={node.graph.n}"
+        text = f"{node.kind.value}\\nn={node.mask.bit_count()}"
         if node.label is not None:
             text += f"\\nlabel=({node.label[0]},{node.label[1]})"
         lines.append(f'  n{my_id} [label="{text}"];')

@@ -131,14 +131,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     if kept and not (0 <= kept[0] and kept[-1] < g.n):
         raise ValueError("vertex out of range")
     remap = {old: new for new, old in enumerate(kept)}
-    inside = mask_of(kept)
-    edges = []
-    for new, u in enumerate(kept):
-        later = g._adj[u] & inside & -(2 << u)
-        while later:
-            low = later & -later
-            edges.append((new, remap[low.bit_length() - 1]))
-            later ^= low
+    edges = [(remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap]
     return Graph(len(kept), edges), remap
 
 

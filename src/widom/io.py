@@ -170,29 +170,36 @@ def extract_meta(text: str) -> dict | None:
 
 
 def parse_partition_file(path: str | Path, n: int) -> tuple[frozenset[int], frozenset[int]]:
-    """JSON {"A": [...]} or {"A": [...], "B": [...]}; B defaults to the rest.
-
-    Raises PartitionError when a side names a vertex that is not an
-    integer in 0..n-1.
-    """
+    """The A and B sides in a JSON partition file; see ``partition_sides``."""
     try:
         data = json.loads(read_text(path)[0])
     except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"partition file is not valid JSON: {exc}") from None
+        raise GraphFormatError(f"{path}: partition file is not valid JSON: {exc}") from None
+    return partition_sides(data, n, str(path))
+
+
+def partition_sides(data, n: int, source: str) -> tuple[frozenset[int], frozenset[int]]:
+    """The sides of a parsed JSON partition {"A": [...]} or {"A": [...], "B": [...]}.
+
+    B defaults to the rest.  Raises GraphFormatError when ``data`` is not
+    an object with an "A" key, and PartitionError when a side is not a
+    list of integers in 0..n-1; both messages start with ``source``.
+    """
     if not isinstance(data, dict) or "A" not in data:
-        raise GraphFormatError('partition file needs an "A" key')
-    a = _partition_side(data, "A", n)
-    b = _partition_side(data, "B", n) if "B" in data else frozenset(range(n)) - a
+        raise GraphFormatError(f'{source}: partition needs an "A" key')
+    a = _partition_side(data, "A", n, source)
+    b = _partition_side(data, "B", n, source) if "B" in data else frozenset(range(n)) - a
     return a, b
 
 
-def _partition_side(data: dict, side: str, n: int) -> frozenset[int]:
+def _partition_side(data: dict, side: str, n: int, source: str) -> frozenset[int]:
     raw = data[side]
+    where = f'{source}: partition side "{side}"'
     if not isinstance(raw, list):
-        raise PartitionError(f'partition side "{side}" is not a list of vertices')
+        raise PartitionError(f"{where} is not a list of vertices")
     for v in raw:
         if type(v) is not int:
-            raise PartitionError(f'partition side "{side}": vertex {v!r} is not an integer')
+            raise PartitionError(f"{where}: vertex {v!r} is not an integer")
         if not 0 <= v < n:
-            raise PartitionError(f'partition side "{side}": vertex {v} out of range for n={n}')
+            raise PartitionError(f"{where}: vertex {v} out of range for n={n}")
     return frozenset(raw)

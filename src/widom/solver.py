@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .decomposition import NodeKind, classify_mask
-from .graph import Graph, WeightedGraph, bits, induced_subgraph, set_precedes
+from .graph import Graph, WeightedGraph, bits, set_precedes
 
 
 @dataclass(frozen=True)
@@ -262,6 +262,11 @@ def _validated_hitsets(
     return out
 
 
+def _sound_ctx(wg: WeightedGraph, stats: dict | None = None) -> _Ctx:
+    base = [_VAttr(w, 0, frozenset({v})) for v, w in enumerate(wg.weights)]
+    return _Ctx(wg.graph, base, stats)
+
+
 def solve_constrained(
     wg: WeightedGraph,
     demands: Iterable[Iterable[int]] = (),
@@ -276,8 +281,7 @@ def solve_constrained(
     with no good vertex.  ``stats``, when given, is filled with
     instrumentation counters (subproblems, max_demands, assignments).
     """
-    base = [_VAttr(w, 0, frozenset({v})) for v, w in enumerate(wg.weights)]
-    ctx = _Ctx(wg.graph, base, stats)
+    ctx = _sound_ctx(wg, stats)
     canon = _canon(_validated_hitsets(wg, demands))
     if canon is None:
         return None
@@ -416,15 +420,11 @@ def eq1_literal(wg: WeightedGraph, v: int) -> int:
 
     This is the two-term recurrence evaluated faithfully; it is *not*
     a correct expression for id_w(G) and exists to demonstrate that.
+    Both children are vertex masks of G, solved under one memo.
     """
-    g = wg.graph
-    anti_vs = sorted(g.antineighborhood(v))
-    anti, amap = induced_subgraph(g, anti_vs)
-    rest_vs = [u for u in range(g.n) if u != v]
-    rest, rmap = induced_subgraph(g, rest_vs)
-    w_anti = tuple(wg.weights[u] for u in anti_vs)
-    w_rest = tuple(wg.weights[u] for u in rest_vs)
+    ctx = _sound_ctx(wg)
+    full = wg.graph.full_bits
     return min(
-        solve_wid(WeightedGraph(anti, w_anti)).weight,
-        solve_wid(WeightedGraph(rest, w_rest)).weight,
+        _solve(ctx, full & ~ctx.adj[v], {}, frozenset()).weight,
+        _solve(ctx, full & ~(1 << v), {}, frozenset()).weight,
     )

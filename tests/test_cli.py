@@ -279,6 +279,15 @@ BAD_INPUTS = {
     "check graph file not UTF-8": (
         ["check", "--suite", "solver", "--corpus", "{latinjson}"], 2, "latin.graph: line 3"
     ),
+    "check partition vertex out of range": (
+        ["check", "--suite", "obs1", "--corpus", "{part7json}"], 5, "tri.graph: partition side"
+    ),
+    "check partition not an object": (
+        ["check", "--suite", "obs1", "--corpus", "{partlistjson}"], 2, 'tri.graph: partition needs an "A"'
+    ),
+    "check partition without A": (
+        ["check", "--suite", "obs1", "--corpus", "{partbjson}"], 2, 'tri.graph: partition needs an "A"'
+    ),
 }
 
 
@@ -297,6 +306,9 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
     (tmp_path / "nofile.json").write_text('{"graphs": [{"file": "tri.graph"}, {"n": 3}]}')
     (tmp_path / "latin.json").write_text('{"graphs": [{"file": "latin.graph"}]}')
     (tmp_path / "dimacs.json").write_text('{"graphs": [{"file": "bad.dimacs"}]}')
+    for name, part in (("part7", '{"A": [7]}'), ("partlist", "[0]"), ("partb", '{"B": [1]}')):
+        entry = f'{{"graphs": [{{"file": "tri.graph", "partition": {part}}}]}}'
+        (tmp_path / f"{name}.json").write_text(entry)
     paths = {
         name: str(tmp_path / file)
         for name, file in (
@@ -304,7 +316,8 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
             ("folder", "folder"), ("part9", "part9.json"), ("e22", "e22.graph"),
             ("out", "gen-out"), ("notjson", "notjson.json"), ("listjson", "list.json"),
             ("nofile", "nofile.json"), ("latinjson", "latin.json"), ("c6", "c6.graph"),
-            ("dimacsjson", "dimacs.json"),
+            ("dimacsjson", "dimacs.json"), ("part7json", "part7.json"),
+            ("partlistjson", "partlist.json"), ("partbjson", "partb.json"),
         )
     }
     try:

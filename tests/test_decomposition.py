@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from widom import decomposition
 from widom.decomposition import (
     NodeKind,
     NotInClassError,
@@ -17,7 +18,7 @@ from widom.decomposition import (
     tree_to_json_text,
 )
 from widom.generators import bull, complete, cycle, empty, gnp, path, star, sun3
-from widom.graph import Graph, bits, mask_of
+from widom.graph import Graph, bits, induced_subgraph, mask_of
 from widom.solver import solve_id
 
 
@@ -69,8 +70,8 @@ def test_p4_tree_shape():
     assert root.label == (0, 1)
     anti, rest = root.children
     assert anti.kind is NodeKind.LEAF_F
-    assert anti.to_root == (0, 2, 3)
-    assert rest.to_root == (1, 2, 3)
+    assert anti.mask == mask_of((0, 2, 3))
+    assert rest.mask == mask_of((1, 2, 3))
     assert t.node_count == 5
     assert t.internal_count == 2
 
@@ -92,12 +93,12 @@ def test_homogeneous_node_labels():
     t = build_tree(cycle(4))
     root = t.root
     assert root.kind is NodeKind.HOMOGENEOUS
-    assert root.module == frozenset({0, 2})
+    assert root.module == mask_of((0, 2))
     assert root.rep == 0
     assert root.label == (2, 1)
     inner, outer = root.children
-    assert inner.to_root == (0, 2)
-    assert outer.to_root == (0, 1, 3)
+    assert inner.mask == mask_of((0, 2))
+    assert outer.mask == mask_of((0, 1, 3))
 
 
 def test_not_in_class_diagnostic():
@@ -121,7 +122,7 @@ def test_not_in_class_names_root_vertices(c6_module):
 def test_empty_graph_tree():
     t = build_tree(Graph(0, []))
     assert t.root.kind is NodeKind.LEAF_COMPLETE
-    assert t.root.to_root == () and t.node_count == 1
+    assert t.root.mask == 0 and t.node_count == 1
 
 
 def test_sun3_tree_builds():
@@ -147,11 +148,12 @@ def test_leaf_partition_of_vertices(inclass_corpus):
     for wg in inclass_corpus[:60]:
         t = build_tree(wg.graph)
         for node in t.root.walk():
+            sub, _ = induced_subgraph(wg.graph, bits(node.mask))
             if node.kind is NodeKind.LEAF_COMPLETE:
-                assert node.graph.is_complete()
+                assert sub.is_complete()
                 assert not node.children
             elif node.kind is NodeKind.LEAF_F:
-                assert len(node.graph.edges) <= 1
+                assert len(sub.edges) <= 1
                 assert not node.children
             else:
                 assert len(node.children) == 2
@@ -166,6 +168,62 @@ def test_json_and_dot_outputs():
     assert json.loads(text) == data
     dot = tree_to_dot(t)
     assert dot.startswith("digraph") and "antineighborhood" in dot
+
+
+# Exact tree_to_json_text (given compactly, re-indented by the test)
+# and tree_to_dot output.  In the inner nodes, vertices, module and rep
+# are root ids that differ from their positions within the node, so a
+# slip between the two shows.
+GOLDEN = {
+    "path4": (
+        path(4),
+        '{"internal_count": 2, "node_count": 5, "root": {"children": ['
+        '{"kind": "leaf_f", "n": 3, "vertices": [0, 2, 3]}, {"children": ['
+        '{"kind": "leaf_f", "n": 2, "vertices": [1, 3]}, '
+        '{"kind": "leaf_complete", "n": 2, "vertices": [1, 2]}], '
+        '"kind": "homogeneous", "label": [3, 2], "module": [1, 3], "n": 3, "rep": 1, '
+        '"vertices": [1, 2, 3]}], "kind": "antineighborhood", "label": [0, 1], "n": 4, '
+        '"rep": 0, "vertices": [0, 1, 2, 3]}}',
+        'digraph decomposition {\n  node [shape=box];\n'
+        '  n0 [label="antineighborhood\\nn=4\\nlabel=(0,1)"];\n'
+        '  n1 [label="leaf_f\\nn=3"];\n  n0 -> n1;\n'
+        '  n2 [label="homogeneous\\nn=3\\nlabel=(3,2)"];\n'
+        '  n3 [label="leaf_f\\nn=2"];\n  n2 -> n3;\n'
+        '  n4 [label="leaf_complete\\nn=2"];\n  n2 -> n4;\n  n0 -> n2;\n}',
+    ),
+    "cycle4": (
+        cycle(4),
+        '{"internal_count": 2, "node_count": 5, "root": {"children": ['
+        '{"kind": "leaf_f", "n": 2, "vertices": [0, 2]}, {"children": ['
+        '{"kind": "leaf_f", "n": 2, "vertices": [1, 3]}, '
+        '{"kind": "leaf_complete", "n": 2, "vertices": [0, 1]}], '
+        '"kind": "homogeneous", "label": [3, 0], "module": [1, 3], "n": 3, "rep": 1, '
+        '"vertices": [0, 1, 3]}], "kind": "homogeneous", "label": [2, 1], '
+        '"module": [0, 2], "n": 4, "rep": 0, "vertices": [0, 1, 2, 3]}}',
+        'digraph decomposition {\n  node [shape=box];\n'
+        '  n0 [label="homogeneous\\nn=4\\nlabel=(2,1)"];\n'
+        '  n1 [label="leaf_f\\nn=2"];\n  n0 -> n1;\n'
+        '  n2 [label="homogeneous\\nn=3\\nlabel=(3,0)"];\n'
+        '  n3 [label="leaf_f\\nn=2"];\n  n2 -> n3;\n'
+        '  n4 [label="leaf_complete\\nn=2"];\n  n2 -> n4;\n  n0 -> n2;\n}',
+    ),
+}
+
+
+@pytest.mark.parametrize("g, compact, dot", GOLDEN.values(), ids=GOLDEN.keys())
+def test_tree_text_golden(g, compact, dot):
+    t = build_tree(g)
+    assert tree_to_json_text(t) == json.dumps(json.loads(compact), indent=2, sort_keys=True)
+    assert tree_to_dot(t) == dot
+
+
+def test_tree_builds_no_per_node_graph(monkeypatch, family_graphs):
+    def refuse(*args):
+        raise AssertionError("build_tree built an induced subgraph")
+
+    monkeypatch.setattr(decomposition, "induced_subgraph", refuse)
+    for g in family_graphs:
+        build_tree(g)
 
 
 def test_star_center_tree():
@@ -210,10 +268,10 @@ def test_module_mask_matches_fixpoint_closure(family_graphs):
 def test_classify_mask_agrees_with_tree_nodes(inclass_corpus, family_graphs):
     for g in [wg.graph for wg in inclass_corpus[:60]] + family_graphs:
         for node in build_tree(g).root.walk():
-            kind, arg = classify_mask(g, mask_of(node.to_root))
+            kind, arg = classify_mask(g, node.mask)
             assert kind is node.kind
             if kind is NodeKind.HOMOGENEOUS:
-                assert {node.to_root[v] for v in node.module} == set(bits(arg))
-                assert node.to_root[node.rep] == min(bits(arg))
+                assert node.module == arg
+                assert node.rep == min(bits(arg))
             elif kind is NodeKind.ANTINEIGHBORHOOD:
-                assert node.to_root[node.rep] == arg
+                assert node.rep == arg
