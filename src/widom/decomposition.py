@@ -180,9 +180,12 @@ class DecompNode:
     children: tuple["DecompNode", ...] = field(default_factory=tuple)
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Every node of the subtree in preorder, one stack step each."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)

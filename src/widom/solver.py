@@ -2,31 +2,41 @@
 
 Two modes live here.
 
-``solve_wid``/``solve_constrained`` is the sound mode: it walks the
-same case analysis as the decomposition tree but threads *demands*
-through every branch -- a demand is a hitset the final solution must
-intersect, created whenever a vertex is deleted and must still end up
-dominated.  Branching a module "out" marks its representative
-forbidden; solutions are compared lexicographically on
-(forbidden_used, weight), so a branch whose best answer still uses a
-forbidden vertex is recognized as infeasible without sentinel weights.
+``solve_wid``/``solve_constrained`` is the sound mode.  It answers one
+query, ``_topk(ctx, mask, forb, force, k)``: the k best maximal
+independent sets (MIS) of the subgraph on ``mask`` that avoid ``forb``
+and contain ``force``, in rank order.  The case analysis of the
+decomposition tree splits that query into smaller ones of the same form:
+
+* a leaf lists its few MIS and filters them;
+* at a good vertex v, the MIS holding v are v plus a MIS of the
+  antineighborhood X, and there are at most two of those; the rest are
+  the MIS of G - v that meet N(v), and since the MIS of G - v missing
+  N(v) are MIS of X, the first ``k + |MIS(X)|`` sets of G - v hold the
+  first k that meet it;
+* at a module M with representative h, a MIS either avoids M, and is
+  then a MIS of the quotient with h forbidden, or is a MIS of M joined
+  with a MIS of the quotient that contains h; the k best joins come
+  from the two k-best lists.
+
+A set's rank orders by weight, then by ``set_precedes``, and adds up
+over disjoint unions, so a join's rank is the sum of its parts' ranks
+and lists merge by rank alone.  There are no demand sets and no weight overrides: a state is just
+(mask, forb, force), all root-id bitmasks, and the memo keeps the
+longest list computed for it.  Which case applies depends only on the
+mask and is decided by ``decomposition.classify_mask``, the case chain
+the tree uses too; ``_shape`` caches its answer once per mask per solve
+and both modes read it.
 
 ``solve_naive_eq1`` is the deliberately literal mode: it evaluates the
 two-term antineighborhood minimum and the bare module weight
 substitution with no demand tracking, patching undominated deleted
 vertices greedily into the witness.  Its value can undershoot the true
 optimum; the divergence is pinned by regression tests and surfaced via
-``witness_is_mis`` and value comparison.
-
-Subproblems never relabel: every branch works on a bitmask of root
-ids, so adjacency is shared and solutions splice by footprint union.
-Which case applies (leaf, module, good vertex) depends only on that
-mask and is decided by ``decomposition.classify_mask``, the case chain
-the tree uses too; ``_shape`` caches its answer once per mask per solve
-and both modes read it.  Vertex attributes live in a root list shared
-by the whole solve; the ``attrs`` dict a branch carries holds only the
-representatives whose attributes a module substitution overrode, and
-the memo key names just those overrides inside the mask.
+``witness_is_mis`` and value comparison.  Vertex attributes live in a
+root list shared by the whole solve; the ``attrs`` dict a branch
+carries holds only the representatives whose attributes a module
+substitution overrode.
 """
 
 from __future__ import annotations
@@ -42,42 +52,6 @@ from .graph import Graph, WeightedGraph, bits, set_precedes
 class Solution:
     vertices: frozenset[int]
     weight: int
-    forbidden_used: int = 0
-
-
-class _VAttr(NamedTuple):
-    weight: int  # current (possibly substituted) weight
-    fu: int  # forbidden marks this vertex would contribute if chosen
-    foot: frozenset[int]  # root vertices this one expands to
-
-
-class _Sol(NamedTuple):
-    fu: int
-    weight: int
-    foot: frozenset[int]
-
-
-def _better(a: _Sol, b: _Sol | None) -> bool:
-    if b is None:
-        return True
-    if a.fu != b.fu:
-        return a.fu < b.fu
-    if a.weight != b.weight:
-        return a.weight < b.weight
-    return set_precedes(a.foot, b.foot)
-
-
-def _canon(hitsets: Iterable[frozenset[int]]) -> frozenset[frozenset[int]] | None:
-    """Dedupe and drop supersets; None signals an unsatisfiable demand."""
-    pool = sorted(set(hitsets), key=len)
-    kept: list[frozenset[int]] = []
-    for h in pool:
-        if not h:
-            return None
-        if any(k <= h for k in kept):
-            continue
-        kept.append(h)
-    return frozenset(kept)
 
 
 def _leaf_candidates(adj: Sequence[int], mask: int, kind: NodeKind) -> list[int]:
@@ -102,13 +76,12 @@ class _Ctx:
     def __init__(self, graph: Graph, base: Sequence, stats: dict | None = None):
         self.graph = graph
         self.adj = graph._adj
-        self.base = base  # root attributes, indexed by vertex
+        self.base = base  # per-vertex ranks (sound) or root attributes (naive)
         self.shapes: dict[int, tuple[NodeKind, int]] = {}
         self.memo: dict = {}
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("subproblems", 0)
-        self.stats.setdefault("max_demands", 0)
-        self.stats.setdefault("assignments", 0)
+        self.stats.setdefault("max_k", 0)
 
 
 def _shape(ctx: _Ctx, mask: int) -> tuple[NodeKind, int]:
@@ -119,138 +92,87 @@ def _shape(ctx: _Ctx, mask: int) -> tuple[NodeKind, int]:
     return shape
 
 
-def _override(ctx: _Ctx, attrs: dict, mask: int, v: int, attr) -> dict:
-    """The overrides inside ``mask`` with v's attributes set to ``attr``.
+def _ranked(ctx: _Ctx, sets: Iterable[int]) -> list[tuple[int, int]]:
+    rank = ctx.base
+    return sorted((sum(rank[u] for u in bits(s)), s) for s in sets)
 
-    An override equal to v's root attributes is dropped, so that one
-    state never has two memo keys.
+
+def _topk(ctx: _Ctx, mask: int, forb: int, force: int, k: int) -> list[tuple[int, int]]:
+    """The k best MIS of the subgraph on ``mask`` that avoid ``forb`` and
+    contain ``force``, as (rank, set mask) pairs in rank order.
+
+    ``forb`` and ``force`` lie inside ``mask``.  A list shorter than the
+    k it was computed for holds every such set, so the memo answers any
+    later k from it; a longer k than stored is recomputed.
     """
-    out = {u: a for u, a in attrs.items() if mask >> u & 1}
-    if attr == ctx.base[v]:
-        out.pop(v, None)
-    else:
-        out[v] = attr
-    return out
-
-
-def _eval(ctx: _Ctx, attrs: dict[int, _VAttr], cand: int) -> _Sol:
-    base = ctx.base
-    fu = weight = 0
-    foot: frozenset[int] = frozenset()
-    for v in bits(cand):
-        a = attrs.get(v) or base[v]
-        fu += a.fu
-        weight += a.weight
-        foot |= a.foot
-    return _Sol(fu, weight, foot)
-
-
-def _best_candidate(
-    ctx: _Ctx,
-    attrs: dict[int, _VAttr],
-    cands: list[int],
-    demands: frozenset[frozenset[int]],
-) -> _Sol | None:
-    """The best of ``cands`` that meets every demand, or None."""
-    best: _Sol | None = None
-    for cand in cands:
-        if all(any(cand >> u & 1 for u in h) for h in demands):
-            sol = _eval(ctx, attrs, cand)
-            if _better(sol, best):
-                best = sol
-    return best
-
-
-def _solve(
-    ctx: _Ctx,
-    mask: int,
-    attrs: dict[int, _VAttr],
-    demands: frozenset[frozenset[int]],
-) -> _Sol | None:
-    key = (mask, tuple(sorted((v, a) for v, a in attrs.items() if mask >> v & 1)), demands)
-    if key in ctx.memo:
-        return ctx.memo[key]
-    ctx.stats["subproblems"] += 1
-    ctx.stats["max_demands"] = max(ctx.stats["max_demands"], len(demands))
+    state = (mask, forb, force)
+    hit = ctx.memo.get(state)
+    if hit is not None and (hit[0] >= k or len(hit[1]) < hit[0]):
+        return hit[1][:k]
+    stats = ctx.stats
+    stats["subproblems"] += 1
+    stats["max_k"] = max(stats["max_k"], k)
     adj = ctx.adj
-    best: _Sol | None = None
     kind, arg = _shape(ctx, mask)
 
     if kind is NodeKind.HOMOGENEOUS:
         module = arg
-        m_set = frozenset(bits(module))
-        h = min(m_set)
-        out_mask = (mask & ~module) | (1 << h)
-
-        # OUT: the solution avoids the module entirely; h stands in for
-        # it in the quotient-side graph and must not be chosen.
-        out_demands = _canon(hs - m_set for hs in demands)
-        if out_demands is not None:
-            a = attrs.get(h) or ctx.base[h]
-            out_attrs = _override(ctx, attrs, out_mask, h, _VAttr(a.weight, a.fu + 1, a.foot))
-            sol = _solve(ctx, out_mask, out_attrs, out_demands)
-            if sol is not None and sol.fu == 0 and _better(sol, best):
-                best = sol
-
-        # IN: the solution meets the module; its trace on the module is
-        # a MIS of the module, compressed into h by weight substitution.
-        inside = [hs for hs in demands if hs <= m_set]
-        outside = [hs for hs in demands if not hs & m_set]
-        mixed = [hs for hs in demands if hs & m_set and not hs <= m_set]
-        for pick in range(1 << len(mixed)):
-            ctx.stats["assignments"] += 1
-            inner_hs = list(inside)
-            outer_hs = list(outside)
-            for i, hs in enumerate(mixed):
-                if pick >> i & 1:
-                    inner_hs.append(hs & m_set)
-                else:
-                    outer_hs.append(hs - m_set)
-            inner_demands = _canon(inner_hs)
-            if inner_demands is None:
-                continue
-            inner = _solve(ctx, module, attrs, inner_demands)
-            if inner is None:
-                continue
-            in_attrs = _override(
-                ctx, attrs, out_mask, h, _VAttr(inner.weight, inner.fu, inner.foot)
-            )
-            outer_hs.append(frozenset({h}))
-            outer_demands = _canon(outer_hs)
-            assert outer_demands is not None
-            sol = _solve(ctx, out_mask, in_attrs, outer_demands)
-            if sol is not None and _better(sol, best):
-                best = sol
+        h = (module & -module).bit_length() - 1
+        bh = 1 << h
+        quotient = (mask & ~module) | bh
+        out: list[tuple[int, int]] = []
+        # avoid: no vertex of the module is chosen, and h, standing in
+        # for all of it in the quotient, must not be either
+        if not force & module:
+            out = _topk(ctx, quotient, (forb & ~module) | bh, force & ~module, k)
+        # meet: a MIS of the module, joined with a quotient MIS holding h
+        inner = _topk(ctx, module, forb & module, force & module, k)
+        if inner:
+            drop = ctx.base[h]
+            outer = _topk(ctx, quotient, forb & ~module, (force & ~module) | bh, k)
+            # pair (i, j) has (i + 1)(j + 1) - 1 pairs ranked above it
+            out = sorted(
+                out
+                + [
+                    (ri + ro - drop, mi | (mo ^ bh))
+                    for i, (ri, mi) in enumerate(inner)
+                    for ro, mo in outer[: k // (i + 1)]
+                ]
+            )[:k]
 
     elif kind is NodeKind.ANTINEIGHBORHOOD:
         v = arg
-        nv = adj[v] & mask
-
-        # v chosen: every MIS of the antineighborhood graph contains v
-        # and is automatically maximal in the whole graph.
-        anti = _leaf_candidates(adj, mask & ~nv, NodeKind.LEAF_F)
-        best = _best_candidate(ctx, attrs, anti, demands)
-
-        # v not chosen: it must still be dominated, hence a new demand.
-        shrunk = _canon(
-            [hs - {v} for hs in demands] + [frozenset(bits(nv))]
-        )
-        if shrunk is not None:
-            sol = _solve(ctx, mask & ~(1 << v), attrs, shrunk)
-            if sol is not None and _better(sol, best):
-                best = sol
+        bv = 1 << v
+        need = force & ~bv
+        # the MIS of X = antineighborhood - v: at most two, X has <= 1 edge
+        xs = [
+            x
+            for x in _leaf_candidates(adj, mask & ~adj[v] & ~bv, NodeKind.LEAF_F)
+            if not x & forb and x & need == need
+        ]
+        out = [] if forb & bv else _ranked(ctx, (x | bv for x in xs))
+        if not force & bv:
+            # v not chosen, so a neighbor must be; of the MIS of G - v
+            # only those inside X, at most len(xs), miss N(v)
+            nv = adj[v] & mask
+            rest = _topk(ctx, mask & ~bv, forb & ~bv, force, k + len(xs))
+            out = sorted(out + [e for e in rest if e[1] & nv])[:k]
 
     else:
-        cands = _leaf_candidates(adj, mask, kind)
-        best = _best_candidate(ctx, attrs, cands, demands)
+        out = _ranked(
+            ctx,
+            (
+                c
+                for c in _leaf_candidates(adj, mask, kind)
+                if not c & forb and c & force == force
+            ),
+        )[:k]
 
-    ctx.memo[key] = best
-    return best
+    ctx.memo[state] = (k, out)
+    return out
 
 
-def _validated_hitsets(
-    wg: WeightedGraph, demands: Iterable[Iterable[int]]
-) -> list[frozenset[int]]:
+def _validated_hitsets(wg: WeightedGraph, demands: Iterable[Iterable[int]]) -> list[int]:
     out = []
     for d in demands:
         hitset = frozenset(d)
@@ -258,13 +180,26 @@ def _validated_hitsets(
             raise ValueError("empty demand hitset")
         if any(not (0 <= u < wg.n) for u in hitset):
             raise ValueError(f"demand hitset {sorted(hitset)} out of range")
-        out.append(hitset)
+        out.append(sum(1 << u for u in hitset))
     return out
 
 
 def _sound_ctx(wg: WeightedGraph, stats: dict | None = None) -> _Ctx:
-    base = [_VAttr(w, 0, frozenset({v})) for v, w in enumerate(wg.weights)]
-    return _Ctx(wg.graph, base, stats)
+    """A context whose vertex ranks sum to a set's rank.
+
+    A set's rank is its weight above n low bits, minus its mask with the
+    bit order reversed.  On equal weight, the set holding the smallest
+    vertex on which two sets differ has the larger reversed mask, so rank
+    order is (weight, ``set_precedes``) order, and both parts add up
+    over disjoint unions.
+    """
+    n = wg.n
+    ranks = [(w << n) - (1 << (n - 1 - v)) for v, w in enumerate(wg.weights)]
+    return _Ctx(wg.graph, ranks, stats)
+
+
+def _solution(wg: WeightedGraph, found: int) -> Solution:
+    return Solution(frozenset(bits(found)), sum(wg.weights[u] for u in bits(found)))
 
 
 def solve_constrained(
@@ -275,26 +210,32 @@ def solve_constrained(
     """Minimum-weight MIS intersecting every demand, or None.
 
     Each demand is a nonempty collection of vertex ids; an empty or
-    out-of-range one raises ValueError.
+    out-of-range one raises ValueError.  The ranked list of all MIS is
+    asked for 1, 2, 4, ... sets until one meets every demand, or until
+    the list holds every MIS and none does.  The cost therefore grows
+    with the number of MIS ranked above the best feasible one, which is
+    exponential in the worst case.
 
     Raises NotInClassError when the recursion meets a prime subgraph
     with no good vertex.  ``stats``, when given, is filled with
-    instrumentation counters (subproblems, max_demands, assignments).
+    instrumentation counters (subproblems, max_k).
     """
+    hitsets = _validated_hitsets(wg, demands)
     ctx = _sound_ctx(wg, stats)
-    canon = _canon(_validated_hitsets(wg, demands))
-    if canon is None:
-        return None
-    sol = _solve(ctx, wg.graph.full_bits, {}, canon)
-    if sol is None:
-        return None
-    return Solution(sol.foot, sol.weight, sol.fu)
+    k = 1
+    while True:
+        ranked = _topk(ctx, wg.graph.full_bits, 0, 0, k)
+        for _, found in ranked:
+            if all(found & h for h in hitsets):
+                return _solution(wg, found)
+        if len(ranked) < k:
+            return None
+        k *= 2
 
 
 def solve_wid(wg: WeightedGraph, stats: dict | None = None) -> Solution:
-    sol = solve_constrained(wg, (), stats)
-    assert sol is not None  # unconstrained instances always have an MIS
-    return sol
+    ctx = _sound_ctx(wg, stats)
+    return _solution(wg, _topk(ctx, wg.graph.full_bits, 0, 0, 1)[0][1])
 
 
 def solve_id(g: Graph, stats: dict | None = None) -> Solution:
@@ -304,6 +245,19 @@ def solve_id(g: Graph, stats: dict | None = None) -> Solution:
 # ---------------------------------------------------------------------------
 # the literal mode
 # ---------------------------------------------------------------------------
+
+
+def _override(ctx: _Ctx, attrs: dict, mask: int, v: int, attr) -> dict:
+    """The overrides inside ``mask`` with v's attributes set to ``attr``.
+
+    An override equal to v's root attributes is dropped.
+    """
+    out = {u: a for u, a in attrs.items() if mask >> u & 1}
+    if attr == ctx.base[v]:
+        out.pop(v, None)
+    else:
+        out[v] = attr
+    return out
 
 
 @dataclass(frozen=True)
@@ -425,6 +379,6 @@ def eq1_literal(wg: WeightedGraph, v: int) -> int:
     ctx = _sound_ctx(wg)
     full = wg.graph.full_bits
     return min(
-        _solve(ctx, full & ~ctx.adj[v], {}, frozenset()).weight,
-        _solve(ctx, full & ~(1 << v), {}, frozenset()).weight,
+        _solution(wg, _topk(ctx, child, 0, 0, 1)[0][1]).weight
+        for child in (full & ~ctx.adj[v], full & ~(1 << v))
     )

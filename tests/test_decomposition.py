@@ -226,6 +226,25 @@ def test_tree_builds_no_per_node_graph(monkeypatch, family_graphs):
         build_tree(g)
 
 
+def test_walk_is_preorder_at_any_depth(family_graphs):
+    def preorder(node):
+        out = [node]
+        for child in node.children:
+            out.extend(preorder(child))
+        return out
+
+    for g in family_graphs:
+        t = build_tree(g)
+        walked = list(t.root.walk())
+        assert [id(node) for node in walked] == [id(node) for node in preorder(t.root)]
+        assert len(walked) == t.node_count
+    # a chain deeper than the recursion limit walks without recursing
+    deep = decomposition.DecompNode(NodeKind.LEAF_COMPLETE, 1)
+    for _ in range(5000):
+        deep = decomposition.DecompNode(NodeKind.HOMOGENEOUS, 1, children=(deep,))
+    assert sum(1 for _ in deep.walk()) == 5001
+
+
 def test_star_center_tree():
     t = build_tree(star(3))
     assert t.root.kind in (NodeKind.HOMOGENEOUS, NodeKind.ANTINEIGHBORHOOD)

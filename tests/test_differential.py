@@ -1,9 +1,11 @@
-"""solve_wid and build_tree against the benchmark's polynomial references.
+"""The solver and build_tree against the benchmark's polynomial references.
 
 The brute-force oracles stop at n = 25, so exact checks on general
 graphs end at n <= 17.  Cographs and threshold graphs carry their
-cotree, and ``perfbench/reference.py`` solves them by a cotree DP that
-never imports widom; that reaches the sizes the solver runs at.
+cotree, and split graphs their clique, and ``perfbench/reference.py``
+solves them by a cotree DP or by listing the few maximal independent
+sets a split graph has, never importing widom; that reaches the sizes
+the solver runs at.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import reference as ref  # noqa: E402
 import workloads as wl  # noqa: E402
 from widom.decomposition import build_tree, tree_to_json  # noqa: E402
 from widom.graph import Graph, WeightedGraph  # noqa: E402
-from widom.solver import solve_wid  # noqa: E402
+from widom.solver import solve_constrained, solve_wid  # noqa: E402
 
 
 @pytest.mark.parametrize("n", [50, 100, 200])
@@ -32,3 +34,45 @@ def test_solver_and_tree_match_cotree_references(make, n):
     assert sol.weight == ref.cotree_optimum(inst.cotree, inst.weights)
     ref.check_witness(inst.adj(), n, inst.weights, sorted(sol.vertices), sol.weight)
     assert ref.check_tree(inst.adj(), n, tree_to_json(build_tree(g))) > 0
+
+
+@pytest.mark.parametrize("n", [40, 50])
+def test_solver_matches_split_reference(n):
+    inst = wl.split_graph(random.Random(n), n)
+    adj, wg = inst.adj(), WeightedGraph(Graph(inst.n, inst.edges), inst.weights)
+    sol = solve_wid(wg)
+    assert sol.weight == ref.split_optimum(adj, n, inst.weights, inst.clique)
+    ref.check_witness(adj, n, inst.weights, sorted(sol.vertices), sol.weight)
+
+    rng = random.Random(n + 1)
+    # a maximal independent set holds at most one clique vertex, so two
+    # disjoint demands inside the clique cannot both be met
+    six = rng.sample(inst.clique, 6)
+    cases = [[rng.sample(range(n), 3) for _ in range(2)] for _ in range(4)]
+    cases.append([six[:3], six[3:]])
+    infeasible = 0
+    for demands in cases:
+        want = ref.split_optimum(adj, n, inst.weights, inst.clique, demands)
+        got = solve_constrained(wg, demands)
+        if want is None:
+            infeasible += 1
+            assert got is None
+            continue
+        assert got is not None and got.weight == want
+        ref.check_witness(adj, n, inst.weights, sorted(got.vertices), got.weight, demands)
+    assert infeasible >= 1
+
+
+@pytest.mark.parametrize(
+    "make, n, limit",
+    [(wl.threshold_graph, 400, 5 * 400), (wl.split_graph, 40, 2000)],
+    ids=["threshold", "split"],
+)
+def test_subproblem_count_guard(make, n, limit):
+    """Ranked lists keep these families far from the exponential count
+    of demand sets (split n = 40 took 301,487 subproblems) and from the
+    quadratic count of weight overrides (threshold n = 400 took 158,404)."""
+    inst = make(random.Random(n), n)
+    stats: dict = {}
+    solve_wid(WeightedGraph(Graph(inst.n, inst.edges), inst.weights), stats)
+    assert stats["subproblems"] <= limit

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from widom.decomposition import NotInClassError
 from widom.generators import bull, complete, cycle, empty, gnp, path, star, sun3
-from widom.graph import Graph, WeightedGraph, bits, unit_weights
+from widom.graph import Graph, WeightedGraph, unit_weights
 from widom import solver
 from widom.oracle import oracle_constrained, oracle_wid
 from widom.patterns import CO_P5, P5, is_free
@@ -116,8 +116,7 @@ def test_stats_counters(inclass_corpus):
     stats: dict = {}
     solve_wid(inclass_corpus[0], stats=stats)
     assert stats["subproblems"] >= 1
-    assert stats["max_demands"] >= 0
-    assert stats["assignments"] >= 0
+    assert stats["max_k"] >= 1
 
 
 @settings(max_examples=120, deadline=None)
@@ -223,23 +222,47 @@ def test_module_search_once_per_mask(family_graphs, monkeypatch):
 
 
 def test_one_memo_entry_per_state(family_graphs, monkeypatch):
-    """A state is the mask, the attributes of the vertices in it and the
-    demands; the memo must neither split nor merge states."""
+    """A state is the mask with the forbidden and forced vertices inside
+    it; the memo must neither split nor merge states."""
     states: set = set()
-    solve = solver._solve
+    contexts: list = []
+    topk = solver._topk
 
-    def recorded(ctx, mask, attrs, demands):
-        view = tuple(attrs.get(v) or ctx.base[v] for v in bits(mask))
-        states.add((mask, view, demands))
-        return solve(ctx, mask, attrs, demands)
+    def recorded(ctx, mask, forb, force, k):
+        states.add((mask, forb & mask, force & mask))
+        contexts.append(ctx)
+        return topk(ctx, mask, forb, force, k)
 
-    monkeypatch.setattr(solver, "_solve", recorded)
+    monkeypatch.setattr(solver, "_topk", recorded)
     rng = random.Random(5)
     for g in family_graphs:
         wg = WeightedGraph(g, tuple(rng.randint(1, 9) for _ in range(g.n)))
         demands = [frozenset(rng.sample(range(g.n), 3)) for _ in range(2)]
         for ds in ((), demands):
             states.clear()
-            stats: dict = {}
-            solve_constrained(wg, ds, stats)
-            assert stats["subproblems"] == len(states)
+            contexts.clear()
+            solve_constrained(wg, ds)
+            assert len({id(ctx) for ctx in contexts}) == 1
+            assert len(contexts[0].memo) == len(states)
+
+
+def test_constrained_raises_exactly_where_unconstrained_does():
+    """Demands never prune the walk, so solve_constrained visits the
+    masks solve_wid visits and raises the same error on the same input."""
+    rng = random.Random(139)
+    raised = 0
+    for _ in range(300):
+        n = rng.randint(5, 10)
+        g = gnp(n, rng.random(), rng)
+        wg = WeightedGraph(g, tuple(rng.randint(0, 20) for _ in range(n)))
+        demands = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        try:
+            solve_wid(wg)
+        except NotInClassError as err:
+            raised += 1
+            with pytest.raises(NotInClassError) as again:
+                solve_constrained(wg, demands)
+            assert str(again.value) == str(err)
+        else:
+            solve_constrained(wg, demands)
+    assert raised > 10
