@@ -159,14 +159,8 @@ def _topk(ctx: _Ctx, mask: int, forb: int, force: int, k: int) -> list[tuple[int
             out = sorted(out + [e for e in rest if e[1] & nv])[:k]
 
     else:
-        out = _ranked(
-            ctx,
-            (
-                c
-                for c in _leaf_candidates(adj, mask, kind)
-                if not c & forb and c & force == force
-            ),
-        )[:k]
+        cands = _leaf_candidates(adj, mask, kind)
+        out = _ranked(ctx, (c for c in cands if not c & forb and c & force == force))[:k]
 
     ctx.memo[state] = (k, out)
     return out
