@@ -21,22 +21,21 @@ decomposition tree splits that query into smaller ones of the same form:
 
 A set's rank orders by weight, then by ``set_precedes``, and adds up
 over disjoint unions, so a join's rank is the sum of its parts' ranks
-and lists merge by rank alone.  There are no demand sets and no weight overrides: a state is just
-(mask, forb, force), all root-id bitmasks, and the memo keeps the
-longest list computed for it.  Which case applies depends only on the
-mask and is decided by ``decomposition.classify_mask``, the case chain
-the tree uses too; ``_shape`` caches its answer once per mask per solve
-and both modes read it.
+and lists merge by rank alone.  A state is (mask, forb, force), all
+root-id bitmasks, and the memo keeps the longest list computed for it.
+``solve_constrained`` turns demands into forced vertices: one top-1
+query per way of picking a vertex from each demand.  Which case applies
+depends only on the mask and is decided by
+``decomposition.classify_mask``, the case chain the tree uses too;
+``_shape`` caches its answer once per mask per solve and both modes
+read it.
 
 ``solve_naive_eq1`` is the deliberately literal mode: it evaluates the
 two-term antineighborhood minimum and the bare module weight
 substitution with no demand tracking, patching undominated deleted
 vertices greedily into the witness.  Its value can undershoot the true
 optimum; the divergence is pinned by regression tests and surfaced via
-``witness_is_mis`` and value comparison.  Vertex attributes live in a
-root list shared by the whole solve; the ``attrs`` dict a branch
-carries holds only the representatives whose attributes a module
-substitution overrode.
+``witness_is_mis`` and value comparison.
 """
 
 from __future__ import annotations
@@ -71,12 +70,17 @@ def _leaf_candidates(adj: Sequence[int], mask: int, kind: NodeKind) -> list[int]
 
 
 class _Ctx:
-    __slots__ = ("graph", "adj", "base", "shapes", "memo", "stats")
+    """Per-solve state: the graph, the shape cache and the memo.
 
-    def __init__(self, graph: Graph, base: Sequence, stats: dict | None = None):
+    The sound mode adds ``rank`` (see ``_sound_ctx``) and the naive mode
+    ``base``, each vertex's root attributes; neither reads the other's.
+    """
+
+    __slots__ = ("graph", "adj", "shapes", "memo", "stats", "rank", "base")
+
+    def __init__(self, graph: Graph, stats: dict | None = None):
         self.graph = graph
         self.adj = graph._adj
-        self.base = base  # per-vertex ranks (sound) or root attributes (naive)
         self.shapes: dict[int, tuple[NodeKind, int]] = {}
         self.memo: dict = {}
         self.stats = stats if stats is not None else {}
@@ -93,7 +97,7 @@ def _shape(ctx: _Ctx, mask: int) -> tuple[NodeKind, int]:
 
 
 def _ranked(ctx: _Ctx, sets: Iterable[int]) -> list[tuple[int, int]]:
-    rank = ctx.base
+    rank = ctx.rank
     return sorted((sum(rank[u] for u in bits(s)), s) for s in sets)
 
 
@@ -128,7 +132,7 @@ def _topk(ctx: _Ctx, mask: int, forb: int, force: int, k: int) -> list[tuple[int
         # meet: a MIS of the module, joined with a quotient MIS holding h
         inner = _topk(ctx, module, forb & module, force & module, k)
         if inner:
-            drop = ctx.base[h]
+            drop = ctx.rank[h]
             outer = _topk(ctx, quotient, forb & ~module, (force & ~module) | bh, k)
             # pair (i, j) has (i + 1)(j + 1) - 1 pairs ranked above it
             out = sorted(
@@ -188,8 +192,9 @@ def _sound_ctx(wg: WeightedGraph, stats: dict | None = None) -> _Ctx:
     over disjoint unions.
     """
     n = wg.n
-    ranks = [(w << n) - (1 << (n - 1 - v)) for v, w in enumerate(wg.weights)]
-    return _Ctx(wg.graph, ranks, stats)
+    ctx = _Ctx(wg.graph, stats)
+    ctx.rank = [(w << n) - (1 << (n - 1 - v)) for v, w in enumerate(wg.weights)]
+    return ctx
 
 
 def _solution(wg: WeightedGraph, found: int) -> Solution:
@@ -204,27 +209,33 @@ def solve_constrained(
     """Minimum-weight MIS intersecting every demand, or None.
 
     Each demand is a nonempty collection of vertex ids; an empty or
-    out-of-range one raises ValueError.  The ranked list of all MIS is
-    asked for 1, 2, 4, ... sets until one meets every demand, or until
-    the list holds every MIS and none does.  The cost therefore grows
-    with the number of MIS ranked above the best feasible one, which is
-    exponential in the worst case.
+    out-of-range one raises ValueError.  A MIS meets every demand iff it
+    contains an independent set F built by taking, demand by demand, one
+    vertex of each demand F does not meet yet.  The answer is the best of
+    the top-1 queries forced through each such F, all under one memo.
+    There are at most as many F as the product of the demand sizes, so
+    the cost is exponential in the number of demands only.
 
     Raises NotInClassError when the recursion meets a prime subgraph
-    with no good vertex.  ``stats``, when given, is filled with
-    instrumentation counters (subproblems, max_k).
+    with no good vertex.  Forced vertices prune the walk, so this can
+    answer on a graph where ``solve_wid`` raises.  ``stats``, when
+    given, is filled with instrumentation counters (subproblems, max_k).
     """
     hitsets = _validated_hitsets(wg, demands)
     ctx = _sound_ctx(wg, stats)
-    k = 1
-    while True:
-        ranked = _topk(ctx, wg.graph.full_bits, 0, 0, k)
-        for _, found in ranked:
-            if all(found & h for h in hitsets):
-                return _solution(wg, found)
-        if len(ranked) < k:
-            return None
-        k *= 2
+    adj = ctx.adj
+    forces = {0}
+    for h in hitsets:
+        grown = set()
+        for f in forces:
+            if f & h:
+                grown.add(f)
+            else:
+                grown.update(f | 1 << u for u in bits(h) if not adj[u] & f)
+        forces = grown
+    full = wg.graph.full_bits
+    found = min((e for f in forces for e in _topk(ctx, full, 0, f, 1)), default=None)
+    return None if found is None else _solution(wg, found[1])
 
 
 def solve_wid(wg: WeightedGraph, stats: dict | None = None) -> Solution:
@@ -244,7 +255,10 @@ def solve_id(g: Graph, stats: dict | None = None) -> Solution:
 def _override(ctx: _Ctx, attrs: dict, mask: int, v: int, attr) -> dict:
     """The overrides inside ``mask`` with v's attributes set to ``attr``.
 
-    An override equal to v's root attributes is dropped.
+    Vertex attributes live in ``ctx.base``, shared by the whole solve;
+    the ``attrs`` dict a branch carries holds only the representatives
+    whose attributes a module substitution overrode.  An override equal
+    to v's root attributes is dropped.
     """
     out = {u: a for u, a in attrs.items() if mask >> u & 1}
     if attr == ctx.base[v]:
@@ -349,8 +363,8 @@ def solve_naive_eq1(wg: WeightedGraph, pin: int | None = None) -> NaiveReport:
     the usual case order, which is how the pinned divergence
     regressions drive the recurrence into its failure modes.
     """
-    base = [_NAttr(w, frozenset({v}), w) for v, w in enumerate(wg.weights)]
-    ctx = _Ctx(wg.graph, base)
+    ctx = _Ctx(wg.graph)
+    ctx.base = [_NAttr(w, frozenset({v}), w) for v, w in enumerate(wg.weights)]
     mask = wg.graph.full_bits
     if pin is not None:
         if not (0 <= pin < wg.n):

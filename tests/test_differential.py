@@ -76,3 +76,59 @@ def test_subproblem_count_guard(make, n, limit):
     stats: dict = {}
     solve_wid(WeightedGraph(Graph(inst.n, inst.edges), inst.weights), stats)
     assert stats["subproblems"] <= limit
+
+
+def _cotree_constrained(tree, weights, demands):
+    """Minimum weight of a MIS meeting every demand, or None: the cotree
+    DP keyed by the subset of demands met.  A MIS of a union is a MIS
+    of each side; a MIS of a join is a MIS of one side."""
+    if isinstance(tree, int):
+        return {sum(1 << i for i, d in enumerate(demands) if tree in d): weights[tree]}
+    op, left, right = tree
+    a = _cotree_constrained(left, weights, demands)
+    b = _cotree_constrained(right, weights, demands)
+    pairs = (
+        [(ma | mb, wa + wb) for ma, wa in a.items() for mb, wb in b.items()]
+        if op == "union"
+        else [*a.items(), *b.items()]
+    )
+    out: dict = {}
+    for met, w in pairs:
+        out[met] = min(w, out.get(met, w))
+    return out
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+@pytest.mark.parametrize("make", [wl.cograph, wl.threshold_graph], ids=["cograph", "threshold"])
+def test_constrained_matches_cotree_reference(make, n):
+    """Demands on families with many MIS ranked above the best feasible
+    one; the parent's demand sets took up to 51,845 subproblems here."""
+    inst = make(random.Random(n), n)
+    adj, wg = inst.adj(), WeightedGraph(Graph(inst.n, inst.edges), inst.weights)
+    rng = random.Random(n + 7)
+    for _ in range(4):
+        demands = [rng.sample(range(n), 3) for _ in range(2)]
+        table = _cotree_constrained(inst.cotree, inst.weights, [set(d) for d in demands])
+        stats: dict = {}
+        got = solve_constrained(wg, demands, stats)
+        assert stats["subproblems"] <= 20 * n
+        if 3 not in table:
+            assert got is None
+            continue
+        assert got is not None and got.weight == table[3]
+        ref.check_witness(adj, n, inst.weights, sorted(got.vertices), got.weight, demands)
+
+
+def test_constrained_on_matching_is_not_exponential():
+    """20 disjoint edges a_i b_i have 2^20 MIS; demands turn into forced
+    vertices, so neither an infeasible pair of demands nor one heavy
+    demanded vertex makes the solver walk down that list."""
+    m = 20
+    weights = [1] * (2 * m)
+    weights[1] = 1000
+    wg = WeightedGraph(Graph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)]), tuple(weights))
+    for demands, want in (([[0], [1]], None), ([[1]], 1000 + m - 1)):
+        stats: dict = {}
+        got = solve_constrained(wg, demands, stats)
+        assert (got and got.weight) == want
+        assert stats["subproblems"] <= 4 * m
