@@ -16,6 +16,7 @@ format back deterministically, so parse(emit(x)) == x.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .graph import Graph, WeightedGraph
@@ -50,6 +51,12 @@ def _ints(lineno: int, line: str, want: int, what: str) -> list[int]:
         ) from None
 
 
+def _check_vertex_count(lineno: int, n: int) -> None:
+    """A graph keeps a list of n adjacency masks, so n must fit an index."""
+    if n > sys.maxsize:
+        raise GraphFormatError(f"line {lineno}: vertex count {n} is too large")
+
+
 def parse_graph(text: str) -> Graph | WeightedGraph:
     lines = _content_lines(text)
     if not lines:
@@ -58,6 +65,7 @@ def parse_graph(text: str) -> Graph | WeightedGraph:
     n, m = _ints(lineno, header, 2, "header 'n m'")
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {lineno}: negative counts in header")
+    _check_vertex_count(lineno, n)
     if len(lines) < 1 + m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -108,6 +116,7 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise GraphFormatError(f"line {idx}: bad problem line {line!r}")
             n, _ = _ints(idx, " ".join(parts[2:]), 2, "integer counts in 'p edge n m'")
+            _check_vertex_count(idx, n)
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {idx}: edge before problem line")

@@ -3,10 +3,10 @@
 Two modes live here.
 
 ``solve_wid``/``solve_constrained`` is the sound mode.  It answers one
-query, ``_topk(ctx, mask, forb, force, k)``: the k best maximal
-independent sets (MIS) of the subgraph on ``mask`` that avoid ``forb``
-and contain ``force``, in rank order.  The case analysis of the
-decomposition tree splits that query into smaller ones of the same form:
+query, ``_topk(ctx, mask, forb, k)``: the k best maximal independent
+sets (MIS) of the subgraph on ``mask`` that avoid ``forb``, in rank
+order.  The case analysis of the decomposition tree splits that query
+into smaller ones of the same form:
 
 * a leaf lists its few MIS and filters them;
 * at a good vertex v, the MIS holding v are v plus a MIS of the
@@ -16,16 +16,17 @@ decomposition tree splits that query into smaller ones of the same form:
   first k that meet it;
 * at a module M with representative h, a MIS either avoids M, and is
   then a MIS of the quotient with h forbidden, or is a MIS of M joined
-  with a MIS of the quotient that contains h; the k best joins come
-  from the two k-best lists.
+  with a MIS of the quotient that avoids N(h), and so contains h; the
+  k best joins come from the two k-best lists.
 
 A set's rank orders by weight, then by ``set_precedes``, and adds up
 over disjoint unions, so a join's rank is the sum of its parts' ranks
-and lists merge by rank alone.  A state is (mask, forb, force), all
-root-id bitmasks, and the memo keeps the longest list computed for it.
-``solve_constrained`` turns demands into forced vertices: one top-1
-query per way of picking a vertex from each demand.  Which case applies
-depends only on the mask and is decided by
+and lists merge by rank alone.  A state is (mask, forb), both root-id
+bitmasks, and the memo keeps the longest list computed for it.  A
+MIS holds f exactly when it avoids N(f), so requiring f is forbidding
+N(f).  ``solve_constrained`` runs one top-1 query per way of picking a
+vertex from each demand, with the picked vertices' neighbors forbidden.
+Which case applies depends only on the mask and is decided by
 ``decomposition.classify_mask``, the case chain the tree uses too;
 ``_shape`` caches its answer once per mask per solve and both modes
 read it.
@@ -101,15 +102,16 @@ def _ranked(ctx: _Ctx, sets: Iterable[int]) -> list[tuple[int, int]]:
     return sorted((sum(rank[u] for u in bits(s)), s) for s in sets)
 
 
-def _topk(ctx: _Ctx, mask: int, forb: int, force: int, k: int) -> list[tuple[int, int]]:
-    """The k best MIS of the subgraph on ``mask`` that avoid ``forb`` and
-    contain ``force``, as (rank, set mask) pairs in rank order.
+def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
+    """The k best MIS of the subgraph on ``mask`` that avoid ``forb``, as
+    (rank, set mask) pairs in rank order.
 
-    ``forb`` and ``force`` lie inside ``mask``.  A list shorter than the
-    k it was computed for holds every such set, so the memo answers any
-    later k from it; a longer k than stored is recomputed.
+    ``forb`` lies inside ``mask``; forbidding N(f) asks for sets holding
+    f.  A list shorter than the k it was computed for holds every such
+    set, so the memo answers any later k from it; a longer k than stored
+    is recomputed.
     """
-    state = (mask, forb, force)
+    state = (mask, forb)
     hit = ctx.memo.get(state)
     if hit is not None and (hit[0] >= k or len(hit[1]) < hit[0]):
         return hit[1][:k]
@@ -124,47 +126,44 @@ def _topk(ctx: _Ctx, mask: int, forb: int, force: int, k: int) -> list[tuple[int
         h = (module & -module).bit_length() - 1
         bh = 1 << h
         quotient = (mask & ~module) | bh
+        # N(M) outside M: the same for every vertex of the module
+        outside = adj[h] & quotient
         out: list[tuple[int, int]] = []
-        # avoid: no vertex of the module is chosen, and h, standing in
-        # for all of it in the quotient, must not be either
-        if not force & module:
-            out = _topk(ctx, quotient, (forb & ~module) | bh, force & ~module, k)
-        # meet: a MIS of the module, joined with a quotient MIS holding h
-        inner = _topk(ctx, module, forb & module, force & module, k)
+        # avoid: an outside neighbor dominates the module, and h,
+        # standing in for all of it in the quotient, is not chosen
+        if outside & ~forb:
+            out = _topk(ctx, quotient, (forb & ~module) | bh, k)
+        # meet: a MIS of the module, joined with a quotient MIS avoiding
+        # N(h), which is one holding h
+        inner = _topk(ctx, module, forb & module, k)
         if inner:
             drop = ctx.rank[h]
-            outer = _topk(ctx, quotient, forb & ~module, (force & ~module) | bh, k)
+            outer = _topk(ctx, quotient, (forb & ~module) | outside, k)
             # pair (i, j) has (i + 1)(j + 1) - 1 pairs ranked above it
-            out = sorted(
-                out
-                + [
-                    (ri + ro - drop, mi | (mo ^ bh))
-                    for i, (ri, mi) in enumerate(inner)
-                    for ro, mo in outer[: k // (i + 1)]
-                ]
-            )[:k]
+            joins = [
+                (ri + ro - drop, mi | (mo ^ bh))
+                for i, (ri, mi) in enumerate(inner)
+                for ro, mo in outer[: k // (i + 1)]
+            ]
+            out = sorted(out + joins)[:k]
 
     elif kind is NodeKind.ANTINEIGHBORHOOD:
         v = arg
         bv = 1 << v
-        need = force & ~bv
+        nv = adj[v] & mask
         # the MIS of X = antineighborhood - v: at most two, X has <= 1 edge
-        xs = [
-            x
-            for x in _leaf_candidates(adj, mask & ~adj[v] & ~bv, NodeKind.LEAF_F)
-            if not x & forb and x & need == need
-        ]
+        xs = _leaf_candidates(adj, mask & ~nv & ~bv, NodeKind.LEAF_F)
+        xs = [x for x in xs if not x & forb]
         out = [] if forb & bv else _ranked(ctx, (x | bv for x in xs))
-        if not force & bv:
+        if nv & ~forb:
             # v not chosen, so a neighbor must be; of the MIS of G - v
             # only those inside X, at most len(xs), miss N(v)
-            nv = adj[v] & mask
-            rest = _topk(ctx, mask & ~bv, forb & ~bv, force, k + len(xs))
+            rest = _topk(ctx, mask & ~bv, forb & ~bv, k + len(xs))
             out = sorted(out + [e for e in rest if e[1] & nv])[:k]
 
     else:
         cands = _leaf_candidates(adj, mask, kind)
-        out = _ranked(ctx, (c for c in cands if not c & forb and c & force == force))[:k]
+        out = _ranked(ctx, (c for c in cands if not c & forb))[:k]
 
     ctx.memo[state] = (k, out)
     return out
@@ -211,36 +210,37 @@ def solve_constrained(
     Each demand is a nonempty collection of vertex ids; an empty or
     out-of-range one raises ValueError.  A MIS meets every demand iff it
     contains an independent set F built by taking, demand by demand, one
-    vertex of each demand F does not meet yet.  The answer is the best of
-    the top-1 queries forced through each such F, all under one memo.
-    There are at most as many F as the product of the demand sizes, so
-    the cost is exponential in the number of demands only.
+    vertex of each demand F does not meet yet, and it contains F iff it
+    avoids N(F).  The answer is the best of the top-1 queries with N(F)
+    forbidden, all under one memo.  There are at most as many F as the
+    product of the demand sizes, so the cost is exponential in the
+    number of demands only.
 
     Raises NotInClassError when the recursion meets a prime subgraph
-    with no good vertex.  Forced vertices prune the walk, so this can
-    answer on a graph where ``solve_wid`` raises.  ``stats``, when
+    with no good vertex.  Forbidden vertices prune the walk, so this
+    can answer on a graph where ``solve_wid`` raises.  ``stats``, when
     given, is filled with instrumentation counters (subproblems, max_k).
     """
     hitsets = _validated_hitsets(wg, demands)
     ctx = _sound_ctx(wg, stats)
     adj = ctx.adj
-    forces = {0}
+    forces = {0: 0}  # each independent set F to N(F)
     for h in hitsets:
-        grown = set()
-        for f in forces:
+        grown = {}
+        for f, nf in forces.items():
             if f & h:
-                grown.add(f)
+                grown[f] = nf
             else:
-                grown.update(f | 1 << u for u in bits(h) if not adj[u] & f)
+                grown.update((f | 1 << u, nf | adj[u]) for u in bits(h & ~nf))
         forces = grown
     full = wg.graph.full_bits
-    found = min((e for f in forces for e in _topk(ctx, full, 0, f, 1)), default=None)
+    found = min((e for nf in forces.values() for e in _topk(ctx, full, nf, 1)), default=None)
     return None if found is None else _solution(wg, found[1])
 
 
 def solve_wid(wg: WeightedGraph, stats: dict | None = None) -> Solution:
     ctx = _sound_ctx(wg, stats)
-    return _solution(wg, _topk(ctx, wg.graph.full_bits, 0, 0, 1)[0][1])
+    return _solution(wg, _topk(ctx, wg.graph.full_bits, 0, 1)[0][1])
 
 
 def solve_id(g: Graph, stats: dict | None = None) -> Solution:
@@ -250,22 +250,6 @@ def solve_id(g: Graph, stats: dict | None = None) -> Solution:
 # ---------------------------------------------------------------------------
 # the literal mode
 # ---------------------------------------------------------------------------
-
-
-def _override(ctx: _Ctx, attrs: dict, mask: int, v: int, attr) -> dict:
-    """The overrides inside ``mask`` with v's attributes set to ``attr``.
-
-    Vertex attributes live in ``ctx.base``, shared by the whole solve;
-    the ``attrs`` dict a branch carries holds only the representatives
-    whose attributes a module substitution overrode.  An override equal
-    to v's root attributes is dropped.
-    """
-    out = {u: a for u, a in attrs.items() if mask >> u & 1}
-    if attr == ctx.base[v]:
-        out.pop(v, None)
-    else:
-        out[v] = attr
-    return out
 
 
 @dataclass(frozen=True)
@@ -289,6 +273,8 @@ class _NSol(NamedTuple):
 
 
 def _naive(ctx: _Ctx, mask: int, attrs: dict[int, _NAttr]) -> _NSol:
+    """``attrs`` holds the representatives whose attributes a module
+    substitution overrode; every other vertex reads ``ctx.base``."""
     adj = ctx.adj
 
     def eval_cand(cand: int) -> _NSol:
@@ -319,10 +305,9 @@ def _naive(ctx: _Ctx, mask: int, attrs: dict[int, _NAttr]) -> _NSol:
         h = min(bits(module))
         out_mask = (mask & ~module) | (1 << h)
         inner = _naive(ctx, module, attrs)
-        out_attrs = _override(
-            ctx, attrs, out_mask, h, _NAttr(inner.value, inner.foot, inner.foot_weight)
+        outer = _naive(
+            ctx, out_mask, {**attrs, h: _NAttr(inner.value, inner.foot, inner.foot_weight)}
         )
-        outer = _naive(ctx, out_mask, out_attrs)
         if h in outer.chosen:
             chosen = (outer.chosen - {h}) | inner.chosen
         else:
@@ -387,6 +372,6 @@ def eq1_literal(wg: WeightedGraph, v: int) -> int:
     ctx = _sound_ctx(wg)
     full = wg.graph.full_bits
     return min(
-        _solution(wg, _topk(ctx, child, 0, 0, 1)[0][1]).weight
+        _solution(wg, _topk(ctx, child, 0, 1)[0][1]).weight
         for child in (full & ~ctx.adj[v], full & ~(1 << v))
     )

@@ -254,6 +254,10 @@ BAD_INPUTS = {
     "pin out of range": (["solve", "{tri}", "--mode", "naive", "--pin", "9"], 2, "--pin"),
     "non-UTF-8 input": (["solve", "{latin}"], 2, "line 3"),
     "bad DIMACS header": (["solve", "{dimacs}", "--dimacs"], 2, "line 1"),
+    "vertex count past an index": (["solve", "{huge}"], 2, "line 2: vertex count"),
+    "DIMACS vertex count past an index": (
+        ["solve", "{hugedimacs}", "--dimacs"], 2, "line 2: vertex count"
+    ),
     "negative gen --n": (["gen", "--kind", "gnp", "--n", "-3", "--out", "{out}"], 2, "--n"),
     "gen --weights without a colon": (
         ["gen", "--kind", "gnp", "--n", "4", "--weights", "5", "--out", "{out}"], 2, "--weights"
@@ -298,6 +302,9 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
     (tmp_path / "tri.graph").write_text("3 2\n0 1\n1 2\n")
     (tmp_path / "latin.graph").write_bytes(b"3 1\n0 1\n# caf\xe9\n")
     (tmp_path / "bad.dimacs").write_text("p edge x 3\ne 1 2\n")
+    # n past an index; a large n that fits one would allocate gigabytes
+    (tmp_path / "huge.graph").write_text("# 20-digit n\n99999999999999999999 0\n")
+    (tmp_path / "huge.dimacs").write_text("c 20-digit n\np edge 99999999999999999999 0\n")
     (tmp_path / "folder").mkdir()
     (tmp_path / "part9.json").write_text('{"A": [9]}')
     (tmp_path / "e22.graph").write_text("22 0\n")
@@ -318,6 +325,7 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
             ("nofile", "nofile.json"), ("latinjson", "latin.json"), ("c6", "c6.graph"),
             ("dimacsjson", "dimacs.json"), ("part7json", "part7.json"),
             ("partlistjson", "partlist.json"), ("partbjson", "partb.json"),
+            ("huge", "huge.graph"), ("hugedimacs", "huge.dimacs"),
         )
     }
     try:

@@ -222,16 +222,16 @@ def test_module_search_once_per_mask(family_graphs, monkeypatch):
 
 
 def test_one_memo_entry_per_state(family_graphs, monkeypatch):
-    """A state is the mask with the forbidden and forced vertices inside
-    it; the memo must neither split nor merge states."""
+    """A state is the mask with the forbidden vertices inside it; the
+    memo must neither split nor merge states."""
     states: set = set()
     contexts: list = []
     topk = solver._topk
 
-    def recorded(ctx, mask, forb, force, k):
-        states.add((mask, forb & mask, force & mask))
+    def recorded(ctx, mask, forb, k):
+        states.add((mask, forb & mask))
         contexts.append(ctx)
-        return topk(ctx, mask, forb, force, k)
+        return topk(ctx, mask, forb, k)
 
     monkeypatch.setattr(solver, "_topk", recorded)
     rng = random.Random(5)
@@ -248,8 +248,9 @@ def test_one_memo_entry_per_state(family_graphs, monkeypatch):
 
 
 def test_constrained_is_exact_where_it_answers_out_of_class():
-    """Forced vertices prune the walk, so solve_constrained can answer on
-    a graph where solve_wid raises; whatever it answers is exact."""
+    """The demanded vertices' forbidden neighbors prune the walk, so
+    solve_constrained can answer on a graph where solve_wid raises;
+    whatever it answers is exact."""
     rng = random.Random(139)
     answered = 0
     for _ in range(400):
