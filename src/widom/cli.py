@@ -8,7 +8,8 @@ diagnostics go to stderr.  Exit codes:
 1  check suite failed
 2  bad input: unreadable file, malformed graph, flag value out of range
 3  graph outside the solvable class
-4  size bound of an exhaustive search (oracle, sat-partition search)
+4  size bound: an exhaustive search (oracle, sat-partition search), or
+   a decomposition deeper than Python's recursion limit
 5  invalid or missing partition
 """
 
@@ -516,6 +517,13 @@ def main(argv=None) -> int:
         return 3
     except OracleBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except RecursionError:
+        print(
+            "error: the decomposition is deeper than Python's recursion limit"
+            f" ({sys.getrecursionlimit()})",
+            file=sys.stderr,
+        )
         return 4
     except PartitionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .graph import Graph, bits, induced_subgraph
-from .patterns import CO_P5, P5, Occurrence, find_induced
+from .graph import Graph, bits
+from .patterns import CO_P5, P5, Occurrence, induced_in_mask
 
 
 class NotInClassError(Exception):
@@ -137,12 +137,11 @@ class NodeKind(Enum):
 
 def _raise_not_in_class(g: Graph, mask: int) -> None:
     """Raise NotInClassError for the subgraph of g on mask, in g's ids."""
-    verts = list(bits(mask))
-    sub, _ = induced_subgraph(g, verts)
-    occ = find_induced(sub, P5) or find_induced(sub, CO_P5)
-    if occ is not None:
-        occ = Occurrence(occ.pattern_name, tuple(verts[i] for i in occ.vertices))
-    raise NotInClassError(g, occ)
+    for pat in (P5, CO_P5):
+        hit = next(induced_in_mask(g._adj, mask, pat), None)
+        if hit is not None:
+            raise NotInClassError(g, Occurrence(pat.name, hit))
+    raise NotInClassError(g, None)
 
 
 def classify_mask(g: Graph, mask: int) -> tuple[NodeKind, int]:

@@ -1,10 +1,12 @@
 """Induced-pattern detection and antisimplicial vertices.
 
-Fixed patterns are matched by ordered backtracking over host vertices:
-pattern positions are filled in id order, candidates are tried in
-increasing host id, and every partial assignment must reproduce the
-pattern's edges *and* non-edges.  The first complete assignment found
-is therefore the lexicographically smallest witness tuple.
+Fixed patterns are matched on any vertex mask by backtracking over
+pattern positions in id order.  The candidates for position i are one
+mask: the unused hosts of high enough degree, ANDed with N(host j) for
+each earlier pattern neighbour j of i and with its complement for each
+earlier non-neighbour, so partial assignments keep edges *and*
+non-edges.  Candidates are tried in increasing host id, so the first
+embedding is the lexicographically smallest witness tuple.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ class Pattern:
     name: str
     n: int
     edges: frozenset[tuple[int, int]]
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
 
 @dataclass(frozen=True)
@@ -65,66 +64,47 @@ SUN3 = _pattern(
 )
 
 
-def _match_fixed(g: Graph, pat: Pattern, yield_all: bool) -> Iterator[tuple[int, ...]]:
+def induced_in_mask(
+    adj: Sequence[int], mask: int, pat: Pattern
+) -> Iterator[tuple[int, ...]]:
+    """Every induced embedding of ``pat`` in the subgraph of ``adj`` on
+    ``mask``, in lexicographic order; entry i hosts pattern vertex i."""
     k = pat.n
-    if g.n < k:
-        return
-    # quick size prune: an induced copy needs at least the pattern's edges
-    if len(g.edges) < len(pat.edges):
-        return
     padj = [0] * k
     for u, v in pat.edges:
         padj[u] |= 1 << v
         padj[v] |= 1 << u
-    pdeg = [padj[i].bit_count() for i in range(k)]
-    gdeg = [g.degree(v) for v in range(g.n)]
-    # req[i] = bitmask over earlier pattern positions that i must see
-    req = [padj[i] & ((1 << i) - 1) for i in range(k)]
+    # roomy[i]: hosts with at least pattern vertex i's degree inside mask
+    degree = {v: (adj[v] & mask).bit_count() for v in bits(mask)}
+    roomy = [sum(1 << v for v, d in degree.items() if d >= p.bit_count()) for p in padj]
+    hosts = [0] * k
 
-    assign = [0] * k
-    used = 0
-
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
-        nonlocal used
-        for c in range(g.n):
-            bit = 1 << c
-            if used & bit or gdeg[c] < pdeg[i]:
-                continue
-            ok = True
-            for j in range(i):
-                adj_here = bool(g.adj_bits(c) >> assign[j] & 1)
-                if adj_here != bool(req[i] >> j & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[i] = c
-            used |= bit
+    def extend(i: int, used: int) -> Iterator[tuple[int, ...]]:
+        cand = roomy[i] & ~used
+        for j in range(i):
+            a = adj[hosts[j]]
+            cand &= a if padj[i] >> j & 1 else ~a
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            hosts[i] = low.bit_length() - 1
             if i + 1 == k:
-                yield tuple(assign)
+                yield tuple(hosts)
             else:
-                yield from extend(i + 1)
-            used ^= bit
+                yield from extend(i + 1, used | low)
 
-    if yield_all:
-        yield from extend(0)
-    else:
-        for hit in extend(0):
-            yield hit
-            return
-
-
-def find_induced(g: Graph, pattern: Pattern) -> Occurrence | None:
-    """First induced occurrence of ``pattern`` in ``g``, or None."""
-    for hit in _match_fixed(g, pattern, yield_all=False):
-        return Occurrence(pattern.name, hit)
-    return None
+    yield from extend(0, 0)
 
 
 def iter_induced(g: Graph, pattern: Pattern) -> Iterator[Occurrence]:
     """All induced embeddings of a fixed pattern, lexicographic order."""
-    for hit in _match_fixed(g, pattern, yield_all=True):
+    for hit in induced_in_mask(g._adj, g.full_bits, pattern):
         yield Occurrence(pattern.name, hit)
+
+
+def find_induced(g: Graph, pattern: Pattern) -> Occurrence | None:
+    """First induced occurrence of ``pattern`` in ``g``, or None."""
+    return next(iter_induced(g, pattern), None)
 
 
 def is_free(g: Graph, patterns: Sequence[Pattern]) -> bool:
@@ -148,16 +128,5 @@ def find_antisimplicial(g: Graph) -> int | None:
 
 
 def is_c5(g: Graph) -> bool:
-    """Isomorphism test against the 5-cycle: n=5, 2-regular, connected."""
-    if g.n != 5 or len(g.edges) != 5:
-        return False
-    if any(g.degree(v) != 2 for v in range(5)):
-        return False
-    seen = 1
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for u in bits(g.adj_bits(v) & ~seen):
-            seen |= 1 << u
-            frontier.append(u)
-    return seen == g.full_bits
+    """Isomorphism test against the 5-cycle."""
+    return g.n == 5 and find_induced(g, C5) is not None

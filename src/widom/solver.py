@@ -262,14 +262,12 @@ class NaiveReport:
 class _NAttr(NamedTuple):
     weight: int  # substituted weight, feeds the naive value arithmetic
     foot: frozenset[int]
-    foot_weight: int  # true weight of foot under the input weights
 
 
 class _NSol(NamedTuple):
     value: int
     chosen: frozenset[int]  # vertices at the current level
     foot: frozenset[int]
-    foot_weight: int
 
 
 def _naive(ctx: _Ctx, mask: int, attrs: dict[int, _NAttr]) -> _NSol:
@@ -283,7 +281,6 @@ def _naive(ctx: _Ctx, mask: int, attrs: dict[int, _NAttr]) -> _NSol:
             sum(a.weight for a in chosen),
             frozenset(bits(cand)),
             frozenset().union(*(a.foot for a in chosen)),
-            sum(a.foot_weight for a in chosen),
         )
 
     def pick_best(cands: list[int]) -> _NSol:
@@ -305,14 +302,12 @@ def _naive(ctx: _Ctx, mask: int, attrs: dict[int, _NAttr]) -> _NSol:
         h = min(bits(module))
         out_mask = (mask & ~module) | (1 << h)
         inner = _naive(ctx, module, attrs)
-        outer = _naive(
-            ctx, out_mask, {**attrs, h: _NAttr(inner.value, inner.foot, inner.foot_weight)}
-        )
+        outer = _naive(ctx, out_mask, {**attrs, h: _NAttr(inner.value, inner.foot)})
         if h in outer.chosen:
             chosen = (outer.chosen - {h}) | inner.chosen
         else:
             chosen = outer.chosen
-        return _NSol(outer.value, chosen, outer.foot, outer.foot_weight)
+        return _NSol(outer.value, chosen, outer.foot)
     if kind is NodeKind.ANTINEIGHBORHOOD:
         return _naive_two_term(ctx, mask, attrs, arg)
     return pick_best(_leaf_candidates(adj, mask, kind))
@@ -332,12 +327,7 @@ def _naive_two_term(
         # v ended up undominated; patch it in (independence is safe:
         # none of its neighbors were chosen), but keep the two-term value.
         a = attrs.get(v) or ctx.base[v]
-        return _NSol(
-            drop.value,
-            drop.chosen | {v},
-            drop.foot | a.foot,
-            drop.foot_weight + a.foot_weight,
-        )
+        return _NSol(drop.value, drop.chosen | {v}, drop.foot | a.foot)
     return drop
 
 
@@ -349,7 +339,7 @@ def solve_naive_eq1(wg: WeightedGraph, pin: int | None = None) -> NaiveReport:
     regressions drive the recurrence into its failure modes.
     """
     ctx = _Ctx(wg.graph)
-    ctx.base = [_NAttr(w, frozenset({v}), w) for v, w in enumerate(wg.weights)]
+    ctx.base = [_NAttr(w, frozenset({v})) for v, w in enumerate(wg.weights)]
     mask = wg.graph.full_bits
     if pin is not None:
         if not (0 <= pin < wg.n):

@@ -268,6 +268,9 @@ BAD_INPUTS = {
     ),
     "sat search past its bound": (["recognize", "{e22}", "--cls", "sat"], 4, "n <= 20"),
     "obstruction inside a module": (["solve", "{c6}"], 3, "P5 at (3, 4, 5, 6, 7)"),
+    # a cograph: one smallest-pair module step, and one recursion level, per vertex
+    "solve deeper than the recursion limit": (["solve", "{deep}"], 4, "recursion limit"),
+    "tree deeper than the recursion limit": (["tree", "{deep}"], 4, "recursion limit"),
     "check manifest not JSON": (
         ["check", "--suite", "solver", "--corpus", "{notjson}"], 2, "notjson.json: line 1"
     ),
@@ -308,6 +311,7 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
     (tmp_path / "folder").mkdir()
     (tmp_path / "part9.json").write_text('{"A": [9]}')
     (tmp_path / "e22.graph").write_text("22 0\n")
+    (tmp_path / "deep.graph").write_text("1500 2\n1497 1498\n1498 1499\n")
     (tmp_path / "notjson.json").write_text("not json")
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "nofile.json").write_text('{"graphs": [{"file": "tri.graph"}, {"n": 3}]}')
@@ -326,6 +330,7 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
             ("dimacsjson", "dimacs.json"), ("part7json", "part7.json"),
             ("partlistjson", "partlist.json"), ("partbjson", "partb.json"),
             ("huge", "huge.graph"), ("hugedimacs", "huge.dimacs"),
+            ("deep", "deep.graph"),
         )
     }
     try:

@@ -217,13 +217,16 @@ def test_tree_text_golden(g, compact, dot):
     assert tree_to_dot(t) == dot
 
 
-def test_tree_builds_no_per_node_graph(monkeypatch, family_graphs):
+def test_tree_builds_no_per_node_graph(monkeypatch, family_graphs, c6_module):
     def refuse(*args):
-        raise AssertionError("build_tree built an induced subgraph")
+        raise AssertionError("build_tree built a Graph")
 
-    monkeypatch.setattr(decomposition, "induced_subgraph", refuse)
+    monkeypatch.setattr(Graph, "__init__", refuse)
     for g in family_graphs:
         build_tree(g)
+    # the obstruction is named in root ids without relabelling a subgraph
+    with pytest.raises(NotInClassError, match=r"P5 at \(3, 4, 5, 6, 7\)"):
+        build_tree(c6_module)
 
 
 def test_walk_is_preorder_at_any_depth(family_graphs):

@@ -12,9 +12,11 @@ from widom.patterns import (
     DOMINO,
     P5,
     SUN3,
+    Occurrence,
     cycle_pattern,
     find_antisimplicial,
     find_induced,
+    induced_in_mask,
     is_antisimplicial,
     is_c5,
     is_free,
@@ -75,31 +77,33 @@ def test_iter_induced_counts_labeled_c4s_in_domino():
     assert len(occs) == 16
 
 
-def _brute_has_induced(g: Graph, pat) -> bool:
-    for combo in combinations(range(g.n), pat.n):
-        for perm in permutations(combo):
-            ok = True
-            want = {(min(u, v), max(u, v)) for u, v in pat.edges}
-            for i, j in combinations(range(pat.n), 2):
-                has = g.adjacent(perm[i], perm[j])
-                if has != ((min(i, j), max(i, j)) in want):
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
+def _brute_embeddings(g: Graph, pat) -> list[tuple[int, ...]]:
+    """Every host tuple that induces ``pat``, in lexicographic order."""
+    want = {(min(u, v), max(u, v)) for u, v in pat.edges}
+    pairs = [((i, j), (i, j) in want) for i, j in combinations(range(pat.n), 2)]
+    return [
+        t
+        for t in permutations(range(g.n), pat.n)
+        if all(g.adjacent(t[i], t[j]) == edge for (i, j), edge in pairs)
+    ]
 
 
 def test_matcher_agrees_with_permutation_bruteforce():
-    rng = random.Random(3)
+    rng, masks = random.Random(3), random.Random(4)
     pats = (P5, CO_P5, C4, C5, DOMINO, SUN3)
     for _ in range(150):
         n = rng.randint(4, 7)
         g = gnp(n, rng.choice((0.2, 0.4, 0.6, 0.8)), rng)
+        sub = masks.getrandbits(n)
         for pat in pats:
             if pat.n > n:
                 continue
-            assert (find_induced(g, pat) is not None) == _brute_has_induced(g, pat)
+            brute = _brute_embeddings(g, pat)
+            assert [o.vertices for o in iter_induced(g, pat)] == brute
+            assert find_induced(g, pat) == (Occurrence(pat.name, brute[0]) if brute else None)
+            # the mask-level matcher sees only the subgraph on ``sub``
+            inside = [t for t in brute if all(sub >> v & 1 for v in t)]
+            assert list(induced_in_mask(g._adj, sub, pat)) == inside
 
 
 def test_occurrence_is_really_induced():
