@@ -6,11 +6,12 @@ contain a vertex whose antineighborhood has at most one edge.  Prime
 graphs with no such vertex are outside the guaranteed class; the search
 raises NotInClassError carrying a diagnostic witness when one exists.
 
-``classify_mask`` is the one place that decides which case applies.  It
-takes the input graph and a bitmask of its vertex ids, so ``build_tree``
-and both solver modes walk subsets of the input without relabeling.
-Tree nodes hold root-id masks too, and the JSON and DOT writers read
-vertex lists and sizes straight off them.
+``classify_mask`` is the one place that decides which case applies and
+how a mask splits: it hands out the representative and the two child
+masks.  It takes the input graph and a bitmask of its vertex ids, so
+``build_tree`` and the sound solver walk subsets of the input without
+relabeling.  Tree nodes hold root-id masks too, and the JSON and DOT
+writers read vertex lists and sizes straight off them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import Graph, bits
 from .patterns import CO_P5, P5, Occurrence, induced_in_mask
@@ -144,29 +145,52 @@ def _raise_not_in_class(g: Graph, mask: int) -> None:
     raise NotInClassError(g, None)
 
 
-def classify_mask(g: Graph, mask: int) -> tuple[NodeKind, int]:
+class Split(NamedTuple):
+    """How a mask splits.  A leaf has no rep and no children.  A module M
+    has rep h, its lowest vertex, and children (M, the quotient, which
+    keeps h for all of M).  A good vertex v has rep v and children
+    (mask - N(v), mask - v)."""
+
+    kind: NodeKind
+    rep: int | None = None
+    children: tuple[int, ...] = ()
+
+
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def antineighborhood_split(adj: Sequence[int], mask: int, v: int) -> Split:
+    """The split of mask at v into mask - N(v), where the MIS holding v
+    live, and mask - v."""
+    return Split(NodeKind.ANTINEIGHBORHOOD, v, (mask & ~adj[v], mask & ~(1 << v)))
+
+
+def classify_mask(g: Graph, mask: int) -> Split:
     """The case of the decomposition that applies to g's subgraph on mask.
 
-    The one case chain, read by ``build_tree`` and both solver modes:
-    (LEAF_COMPLETE, 0) when complete, else (LEAF_F, 0) when it has at
-    most one edge, else (HOMOGENEOUS, module mask) for the first
-    smallest-pair module, else (ANTINEIGHBORHOOD, good vertex).  Raises
-    NotInClassError, in g's ids, when it is prime with no good vertex.
+    The one case chain, read by ``build_tree`` and the sound solver: a
+    LEAF_COMPLETE leaf when complete, else a LEAF_F leaf when it has at
+    most one edge, else a HOMOGENEOUS split at the first smallest-pair
+    module, else an ANTINEIGHBORHOOD split at the smallest good vertex.
+    Raises NotInClassError, in g's ids, when it is prime with no good
+    vertex.
     """
     adj = g._adj
     size = mask.bit_count()
     edges = edge_count_within(adj, mask)
     if edges == size * (size - 1) // 2:
-        return NodeKind.LEAF_COMPLETE, 0
+        return Split(NodeKind.LEAF_COMPLETE)
     if edges <= 1:
-        return NodeKind.LEAF_F, 0
+        return Split(NodeKind.LEAF_F)
     module = find_module_mask(adj, mask)
     if module:
-        return NodeKind.HOMOGENEOUS, module
+        h = _low(module)
+        return Split(NodeKind.HOMOGENEOUS, h, (module, (mask & ~module) | 1 << h))
     v = find_good_vertex_mask(adj, mask)
     if v < 0:
         _raise_not_in_class(g, mask)
-    return NodeKind.ANTINEIGHBORHOOD, v
+    return antineighborhood_split(adj, mask, v)
 
 
 @dataclass(frozen=True)
@@ -194,37 +218,36 @@ class DecompTree:
     internal_count: int
 
 
-def _low(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
+def build_node(g: Graph, mask: int, split: Split) -> DecompNode:
+    """The subtree on mask whose root splits as ``split``; every node
+    below it splits as ``classify_mask`` says.
 
-
-def _build(g: Graph, mask: int) -> DecompNode:
-    kind, arg = classify_mask(g, mask)
-    if kind is NodeKind.HOMOGENEOUS:
-        h = _low(arg)
-        return DecompNode(
-            kind,
-            mask,
-            label=(_low(arg & ~(1 << h)), _low(mask & ~arg)),
-            module=arg,
-            rep=h,
-            children=(_build(g, arg), _build(g, (mask & ~arg) | 1 << h)),
-        )
-    if kind is NodeKind.ANTINEIGHBORHOOD:
-        v = arg
-        return DecompNode(
-            kind,
-            mask,
-            label=(v, _low(g._adj[v] & mask)),
-            rep=v,
-            children=(_build(g, mask & ~g._adj[v]), _build(g, mask & ~(1 << v))),
-        )
-    return DecompNode(kind, mask)
+    A label pairs the module's second vertex, or v, with the lowest
+    vertex outside the first child: outside the module, or in N(v).
+    """
+    kind, rep, children = split
+    if not children:
+        return DecompNode(kind, mask)
+    first, second = children
+    module = first if kind is NodeKind.HOMOGENEOUS else None
+    left = rep if module is None else _low(module & ~(1 << rep))
+    return DecompNode(
+        kind,
+        mask,
+        label=(left, _low(mask & ~first)),
+        module=module,
+        rep=rep,
+        children=(
+            build_node(g, first, classify_mask(g, first)),
+            build_node(g, second, classify_mask(g, second)),
+        ),
+    )
 
 
 def build_tree(g: Graph) -> DecompTree:
     """Deterministic decomposition tree of g (root ids in all labels)."""
-    root = _build(g, g.full_bits)
+    full = g.full_bits
+    root = build_node(g, full, classify_mask(g, full))
     nodes = list(root.walk())
     internal = sum(1 for node in nodes if node.label is not None)
     return DecompTree(root, len(nodes), internal)

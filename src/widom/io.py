@@ -16,7 +16,6 @@ format back deterministically, so parse(emit(x)) == x.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 from .graph import Graph, WeightedGraph
@@ -51,21 +50,26 @@ def _ints(lineno: int, line: str, want: int, what: str) -> list[int]:
         ) from None
 
 
-def _check_vertex_count(lineno: int, n: int) -> None:
-    """A graph keeps a list of n adjacency masks, so n must fit an index."""
-    if n > sys.maxsize:
-        raise GraphFormatError(f"line {lineno}: vertex count {n} is too large")
+def _graph(lineno: int, n: int, edges: list[tuple[int, int]]) -> Graph:
+    """``Graph(n, edges)`` for the header on ``lineno``, with its errors
+    as GraphFormatError.  A graph keeps a list of n adjacency masks, so n
+    must fit an index and then memory."""
+    try:
+        return Graph(n, edges)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
+    except (OverflowError, MemoryError):
+        raise GraphFormatError(f"line {lineno}: vertex count {n} is too large") from None
 
 
 def parse_graph(text: str) -> Graph | WeightedGraph:
     lines = _content_lines(text)
     if not lines:
         raise GraphFormatError("empty input: missing the 'n m' header")
-    lineno, header = lines[0]
-    n, m = _ints(lineno, header, 2, "header 'n m'")
+    head, header = lines[0]
+    n, m = _ints(head, header, 2, "header 'n m'")
     if n < 0 or m < 0:
-        raise GraphFormatError(f"line {lineno}: negative counts in header")
-    _check_vertex_count(lineno, n)
+        raise GraphFormatError(f"line {head}: negative counts in header")
     if len(lines) < 1 + m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -74,10 +78,7 @@ def parse_graph(text: str) -> Graph | WeightedGraph:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise GraphFormatError(f"line {lineno}: bad edge ({u},{v}) for n={n}")
         edges.append((u, v))
-    try:
-        g = Graph(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    g = _graph(head, n, edges)
 
     rest = lines[1 + m :]
     if not rest:
@@ -105,7 +106,7 @@ def parse_graph(text: str) -> Graph | WeightedGraph:
 
 def parse_dimacs(text: str) -> Graph:
     """DIMACS 'p edge n m' format, 1-indexed vertices, 'c' comments."""
-    n = None
+    n = head = None
     edges = []
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -116,7 +117,7 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise GraphFormatError(f"line {idx}: bad problem line {line!r}")
             n, _ = _ints(idx, " ".join(parts[2:]), 2, "integer counts in 'p edge n m'")
-            _check_vertex_count(idx, n)
+            head = idx
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {idx}: edge before problem line")
@@ -126,10 +127,7 @@ def parse_dimacs(text: str) -> Graph:
             raise GraphFormatError(f"line {idx}: unrecognized line {line!r}")
     if n is None:
         raise GraphFormatError("missing DIMACS problem line")
-    try:
-        return Graph(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return _graph(head, n, edges)
 
 
 def read_text(path: str | Path) -> tuple[str, bytes]:

@@ -126,7 +126,6 @@ class GammaResult:
     v: int
     x: int
     y: int
-    old_to_new: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,6 @@ class StarResult:
     graph: Graph
     partition: SatPartition
     markers: TransformMarkers
-    old_to_new: tuple[int, ...]
     applied_edges: tuple[tuple[int, int], ...]
 
 
@@ -167,7 +165,7 @@ def gamma_transform(g: Graph, part: SatPartition, a: int, b: int) -> GammaResult
     n, n+1, n+2.  Raises ValueError unless (a, b) is an A-B edge.
     """
     g2, part2, markers, (v, x, y) = _one_gamma(g, part, EMPTY_MARKERS, a, b)
-    return GammaResult(g2, part2, markers, v, x, y, tuple(range(g.n)))
+    return GammaResult(g2, part2, markers, v, x, y)
 
 
 def ab_edges(g: Graph, part: SatPartition) -> list[tuple[int, int]]:
@@ -190,7 +188,7 @@ def star_transform(g: Graph, part: SatPartition) -> StarResult:
     cur, cur_part, markers = g, part, EMPTY_MARKERS
     for a, b in todo:
         cur, cur_part, markers, _ = _one_gamma(cur, cur_part, markers, a, b)
-    return StarResult(cur, cur_part, markers, tuple(range(g.n)), tuple(todo))
+    return StarResult(cur, cur_part, markers, tuple(todo))
 
 
 def check_obs1(g: Graph, part: SatPartition) -> str | None:

@@ -26,17 +26,18 @@ bitmasks, and the memo keeps the longest list computed for it.  A
 MIS holds f exactly when it avoids N(f), so requiring f is forbidding
 N(f).  ``solve_constrained`` runs one top-1 query per way of picking a
 vertex from each demand, with the picked vertices' neighbors forbidden.
-Which case applies depends only on the mask and is decided by
-``decomposition.classify_mask``, the case chain the tree uses too;
-``_shape`` caches its answer once per mask per solve and both modes
-read it.
+The case, the representative and the two child masks depend only on
+the mask and come from ``decomposition.classify_mask``; ``_shape`` asks
+it lazily, once per mask per solve, so masks that forbidden vertices
+prune away are never classified.
 
-``solve_naive_eq1`` is the deliberately literal mode: it evaluates the
-two-term antineighborhood minimum and the bare module weight
-substitution with no demand tracking, patching undominated deleted
-vertices greedily into the witness.  Its value can undershoot the true
-optimum; the divergence is pinned by regression tests and surfaced via
-``witness_is_mis`` and value comparison.
+``solve_naive_eq1`` is the deliberately literal mode, a fold over the
+nodes of the decomposition tree: it evaluates the two-term
+antineighborhood minimum and the bare module weight substitution with
+no demand tracking, patching undominated deleted vertices greedily into
+the witness.  Its value can undershoot the true optimum; the divergence
+is pinned by regression tests and surfaced via ``witness_is_mis`` and
+value comparison.
 """
 
 from __future__ import annotations
@@ -44,7 +45,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .decomposition import NodeKind, classify_mask
+from .decomposition import (
+    DecompNode,
+    NodeKind,
+    Split,
+    antineighborhood_split,
+    build_node,
+    classify_mask,
+)
 from .graph import Graph, WeightedGraph, bits, set_precedes
 
 
@@ -71,25 +79,31 @@ def _leaf_candidates(adj: Sequence[int], mask: int, kind: NodeKind) -> list[int]
 
 
 class _Ctx:
-    """Per-solve state: the graph, the shape cache and the memo.
+    """Per-solve state of the sound mode: the graph, the shape cache, the
+    memo and the vertex ranks.
 
-    The sound mode adds ``rank`` (see ``_sound_ctx``) and the naive mode
-    ``base``, each vertex's root attributes; neither reads the other's.
+    A set's rank is the sum of its vertices' ranks: its weight above n
+    low bits, minus its mask with the bit order reversed.  On equal
+    weight, the set holding the smallest vertex on which two sets differ
+    has the larger reversed mask, so rank order is (weight,
+    ``set_precedes``) order, and both parts add up over disjoint unions.
     """
 
-    __slots__ = ("graph", "adj", "shapes", "memo", "stats", "rank", "base")
+    __slots__ = ("graph", "adj", "shapes", "memo", "stats", "rank")
 
-    def __init__(self, graph: Graph, stats: dict | None = None):
-        self.graph = graph
-        self.adj = graph._adj
-        self.shapes: dict[int, tuple[NodeKind, int]] = {}
+    def __init__(self, wg: WeightedGraph, stats: dict | None = None):
+        n = wg.n
+        self.graph = wg.graph
+        self.adj = wg.graph._adj
+        self.shapes: dict[int, Split] = {}
         self.memo: dict = {}
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("subproblems", 0)
         self.stats.setdefault("max_k", 0)
+        self.rank = [(w << n) - (1 << (n - 1 - v)) for v, w in enumerate(wg.weights)]
 
 
-def _shape(ctx: _Ctx, mask: int) -> tuple[NodeKind, int]:
+def _shape(ctx: _Ctx, mask: int) -> Split:
     """``classify_mask`` on ``mask``, computed once per solve."""
     shape = ctx.shapes.get(mask)
     if shape is None:
@@ -119,25 +133,23 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
     stats["subproblems"] += 1
     stats["max_k"] = max(stats["max_k"], k)
     adj = ctx.adj
-    kind, arg = _shape(ctx, mask)
+    kind, rep, children = _shape(ctx, mask)
 
     if kind is NodeKind.HOMOGENEOUS:
-        module = arg
-        h = (module & -module).bit_length() - 1
-        bh = 1 << h
-        quotient = (mask & ~module) | bh
+        module, quotient = children
+        bh = 1 << rep
         # N(M) outside M: the same for every vertex of the module
-        outside = adj[h] & quotient
+        outside = adj[rep] & quotient
         out: list[tuple[int, int]] = []
-        # avoid: an outside neighbor dominates the module, and h,
+        # avoid: an outside neighbor dominates the module, and rep,
         # standing in for all of it in the quotient, is not chosen
         if outside & ~forb:
             out = _topk(ctx, quotient, (forb & ~module) | bh, k)
         # meet: a MIS of the module, joined with a quotient MIS avoiding
-        # N(h), which is one holding h
+        # N(rep), which is one holding rep
         inner = _topk(ctx, module, forb & module, k)
         if inner:
-            drop = ctx.rank[h]
+            drop = ctx.rank[rep]
             outer = _topk(ctx, quotient, (forb & ~module) | outside, k)
             # pair (i, j) has (i + 1)(j + 1) - 1 pairs ranked above it
             joins = [
@@ -148,17 +160,18 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
             out = sorted(out + joins)[:k]
 
     elif kind is NodeKind.ANTINEIGHBORHOOD:
-        v = arg
-        bv = 1 << v
-        nv = adj[v] & mask
-        # the MIS of X = antineighborhood - v: at most two, X has <= 1 edge
-        xs = _leaf_candidates(adj, mask & ~nv & ~bv, NodeKind.LEAF_F)
-        xs = [x for x in xs if not x & forb]
-        out = [] if forb & bv else _ranked(ctx, (x | bv for x in xs))
+        anti, without_v = children
+        bv = 1 << rep
+        nv = adj[rep] & mask
+        # the MIS holding v are those of the antineighborhood, where v is
+        # isolated: at most two, since it has at most one edge
+        held = _leaf_candidates(adj, anti, NodeKind.LEAF_F)
+        held = [s for s in held if not s & forb & ~bv]
+        out = [] if forb & bv else _ranked(ctx, held)
         if nv & ~forb:
             # v not chosen, so a neighbor must be; of the MIS of G - v
-            # only those inside X, at most len(xs), miss N(v)
-            rest = _topk(ctx, mask & ~bv, forb & ~bv, k + len(xs))
+            # only those inside X = anti - v, at most len(held), miss N(v)
+            rest = _topk(ctx, without_v, forb & ~bv, k + len(held))
             out = sorted(out + [e for e in rest if e[1] & nv])[:k]
 
     else:
@@ -179,21 +192,6 @@ def _validated_hitsets(wg: WeightedGraph, demands: Iterable[Iterable[int]]) -> l
             raise ValueError(f"demand hitset {sorted(hitset)} out of range")
         out.append(sum(1 << u for u in hitset))
     return out
-
-
-def _sound_ctx(wg: WeightedGraph, stats: dict | None = None) -> _Ctx:
-    """A context whose vertex ranks sum to a set's rank.
-
-    A set's rank is its weight above n low bits, minus its mask with the
-    bit order reversed.  On equal weight, the set holding the smallest
-    vertex on which two sets differ has the larger reversed mask, so rank
-    order is (weight, ``set_precedes``) order, and both parts add up
-    over disjoint unions.
-    """
-    n = wg.n
-    ctx = _Ctx(wg.graph, stats)
-    ctx.rank = [(w << n) - (1 << (n - 1 - v)) for v, w in enumerate(wg.weights)]
-    return ctx
 
 
 def _solution(wg: WeightedGraph, found: int) -> Solution:
@@ -222,7 +220,7 @@ def solve_constrained(
     given, is filled with instrumentation counters (subproblems, max_k).
     """
     hitsets = _validated_hitsets(wg, demands)
-    ctx = _sound_ctx(wg, stats)
+    ctx = _Ctx(wg, stats)
     adj = ctx.adj
     forces = {0: 0}  # each independent set F to N(F)
     for h in hitsets:
@@ -239,7 +237,7 @@ def solve_constrained(
 
 
 def solve_wid(wg: WeightedGraph, stats: dict | None = None) -> Solution:
-    ctx = _sound_ctx(wg, stats)
+    ctx = _Ctx(wg, stats)
     return _solution(wg, _topk(ctx, wg.graph.full_bits, 0, 1)[0][1])
 
 
@@ -259,76 +257,57 @@ class NaiveReport:
     witness_is_mis: bool
 
 
-class _NAttr(NamedTuple):
-    weight: int  # substituted weight, feeds the naive value arithmetic
-    foot: frozenset[int]
-
-
 class _NSol(NamedTuple):
-    value: int
+    value: int  # substituted weights, the naive value arithmetic
     chosen: frozenset[int]  # vertices at the current level
-    foot: frozenset[int]
+    foot: frozenset[int]  # root vertices
 
 
-def _naive(ctx: _Ctx, mask: int, attrs: dict[int, _NAttr]) -> _NSol:
-    """``attrs`` holds the representatives whose attributes a module
-    substitution overrode; every other vertex reads ``ctx.base``."""
-    adj = ctx.adj
+def _naive(
+    node: DecompNode, attrs: dict[int, _NSol], adj: Sequence[int], base: list[_NSol]
+) -> _NSol:
+    """The literal recurrence folded over ``node``'s subtree.
 
-    def eval_cand(cand: int) -> _NSol:
-        chosen = [attrs.get(v) or ctx.base[v] for v in bits(cand)]
-        return _NSol(
-            sum(a.weight for a in chosen),
-            frozenset(bits(cand)),
-            frozenset().union(*(a.foot for a in chosen)),
-        )
-
-    def pick_best(cands: list[int]) -> _NSol:
-        best: _NSol | None = None
-        for cand in cands:
-            sol = eval_cand(cand)
-            if (
-                best is None
-                or sol.value < best.value
-                or (sol.value == best.value and set_precedes(sol.foot, best.foot))
-            ):
-                best = sol
-        assert best is not None
-        return best
-
-    kind, arg = _shape(ctx, mask)
+    A vertex stands for the solution in ``base``, its own, unless a
+    module substitution put its module's solution in ``attrs``.
+    """
+    kind, v = node.kind, node.rep
     if kind is NodeKind.HOMOGENEOUS:
-        module = arg
-        h = min(bits(module))
-        out_mask = (mask & ~module) | (1 << h)
-        inner = _naive(ctx, module, attrs)
-        outer = _naive(ctx, out_mask, {**attrs, h: _NAttr(inner.value, inner.foot)})
-        if h in outer.chosen:
-            chosen = (outer.chosen - {h}) | inner.chosen
+        module, quotient = node.children
+        inner = _naive(module, attrs, adj, base)
+        outer = _naive(quotient, {**attrs, v: inner}, adj, base)
+        if v in outer.chosen:
+            chosen = (outer.chosen - {v}) | inner.chosen
         else:
             chosen = outer.chosen
         return _NSol(outer.value, chosen, outer.foot)
     if kind is NodeKind.ANTINEIGHBORHOOD:
-        return _naive_two_term(ctx, mask, attrs, arg)
-    return pick_best(_leaf_candidates(adj, mask, kind))
-
-
-def _naive_two_term(
-    ctx: _Ctx, mask: int, attrs: dict[int, _NAttr], v: int
-) -> _NSol:
-    """The literal two-term minimum at v, with the greedy witness patch."""
-    adj = ctx.adj
-    nv = adj[v] & mask
-    keep = _naive(ctx, mask & ~nv, attrs)
-    drop = _naive(ctx, mask & ~(1 << v), attrs)
-    if keep.value <= drop.value:
-        return keep
-    if not any(nv >> u & 1 for u in drop.chosen):
-        # v ended up undominated; patch it in (independence is safe:
-        # none of its neighbors were chosen), but keep the two-term value.
-        a = attrs.get(v) or ctx.base[v]
-        return _NSol(drop.value, drop.chosen | {v}, drop.foot | a.foot)
-    return drop
+        # the literal two-term minimum at v, with the greedy witness patch
+        keep_node, drop_node = node.children
+        keep = _naive(keep_node, attrs, adj, base)
+        drop = _naive(drop_node, attrs, adj, base)
+        if keep.value <= drop.value:
+            return keep
+        if not any(adj[v] >> u & 1 for u in drop.chosen):
+            # v ended up undominated; patch it in (independence is safe:
+            # none of its neighbors were chosen), but keep the two-term value.
+            a = attrs.get(v) or base[v]
+            return _NSol(drop.value, drop.chosen | {v}, drop.foot | a.foot)
+        return drop
+    best: _NSol | None = None
+    for cand in _leaf_candidates(adj, node.mask, kind):
+        chosen = [attrs.get(u) or base[u] for u in bits(cand)]
+        sol = _NSol(
+            sum(a.value for a in chosen),
+            frozenset(bits(cand)),
+            frozenset().union(*(a.foot for a in chosen)),
+        )
+        if best is None or sol.value < best.value or (
+            sol.value == best.value and set_precedes(sol.foot, best.foot)
+        ):
+            best = sol
+    assert best is not None
+    return best
 
 
 def solve_naive_eq1(wg: WeightedGraph, pin: int | None = None) -> NaiveReport:
@@ -338,18 +317,17 @@ def solve_naive_eq1(wg: WeightedGraph, pin: int | None = None) -> NaiveReport:
     the usual case order, which is how the pinned divergence
     regressions drive the recurrence into its failure modes.
     """
-    ctx = _Ctx(wg.graph)
-    ctx.base = [_NAttr(w, frozenset({v})) for v, w in enumerate(wg.weights)]
-    mask = wg.graph.full_bits
-    if pin is not None:
-        if not (0 <= pin < wg.n):
-            raise ValueError(f"pin vertex {pin} out of range")
-        sol = _naive_two_term(ctx, mask, {}, pin)
+    g = wg.graph
+    full = g.full_bits
+    if pin is None:
+        split = classify_mask(g, full)
+    elif 0 <= pin < wg.n:
+        split = antineighborhood_split(g._adj, full, pin)
     else:
-        sol = _naive(ctx, mask, {})
-    return NaiveReport(
-        sol.value, sol.foot, wg.graph.is_maximal_independent(sol.foot)
-    )
+        raise ValueError(f"pin vertex {pin} out of range")
+    base = [_NSol(w, frozenset({v}), frozenset({v})) for v, w in enumerate(wg.weights)]
+    sol = _naive(build_node(g, full, split), {}, g._adj, base)
+    return NaiveReport(sol.value, sol.foot, g.is_maximal_independent(sol.foot))
 
 
 def eq1_literal(wg: WeightedGraph, v: int) -> int:
@@ -359,9 +337,6 @@ def eq1_literal(wg: WeightedGraph, v: int) -> int:
     a correct expression for id_w(G) and exists to demonstrate that.
     Both children are vertex masks of G, solved under one memo.
     """
-    ctx = _sound_ctx(wg)
-    full = wg.graph.full_bits
-    return min(
-        _solution(wg, _topk(ctx, child, 0, 1)[0][1]).weight
-        for child in (full & ~ctx.adj[v], full & ~(1 << v))
-    )
+    ctx = _Ctx(wg)
+    children = antineighborhood_split(ctx.adj, wg.graph.full_bits, v).children
+    return min(_solution(wg, _topk(ctx, child, 0, 1)[0][1]).weight for child in children)

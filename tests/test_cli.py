@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from widom.cli import _build_parser, main
 from widom.generators import domino, path, sun3
@@ -258,6 +262,13 @@ BAD_INPUTS = {
     "DIMACS vertex count past an index": (
         ["solve", "{hugedimacs}", "--dimacs"], 2, "line 2: vertex count"
     ),
+    # n = 2**61 fits an index; CPython refuses the list before allocating
+    "solve vertex count past memory": (["solve", "{mem}"], 2, "line 1: vertex count"),
+    "tree vertex count past memory": (["tree", "{mem}"], 2, "line 1: vertex count"),
+    "recognize vertex count past memory": (["recognize", "{mem}"], 2, "line 1: vertex count"),
+    "DIMACS vertex count past memory": (
+        ["solve", "{memdimacs}", "--dimacs"], 2, "line 1: vertex count"
+    ),
     "negative gen --n": (["gen", "--kind", "gnp", "--n", "-3", "--out", "{out}"], 2, "--n"),
     "gen --weights without a colon": (
         ["gen", "--kind", "gnp", "--n", "4", "--weights", "5", "--out", "{out}"], 2, "--weights"
@@ -308,6 +319,8 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
     # n past an index; a large n that fits one would allocate gigabytes
     (tmp_path / "huge.graph").write_text("# 20-digit n\n99999999999999999999 0\n")
     (tmp_path / "huge.dimacs").write_text("c 20-digit n\np edge 99999999999999999999 0\n")
+    (tmp_path / "mem.graph").write_text(f"{2**61} 0\n")
+    (tmp_path / "mem.dimacs").write_text(f"p edge {2**61} 0\n")
     (tmp_path / "folder").mkdir()
     (tmp_path / "part9.json").write_text('{"A": [9]}')
     (tmp_path / "e22.graph").write_text("22 0\n")
@@ -330,6 +343,7 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
             ("dimacsjson", "dimacs.json"), ("part7json", "part7.json"),
             ("partlistjson", "partlist.json"), ("partbjson", "partb.json"),
             ("huge", "huge.graph"), ("hugedimacs", "huge.dimacs"),
+            ("mem", "mem.graph"), ("memdimacs", "mem.dimacs"),
             ("deep", "deep.graph"),
         )
     }
@@ -340,3 +354,109 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
     _, err = capsys.readouterr()
     assert code == want, err
     assert "Traceback" not in err and fragment in err
+
+
+HUGE_N = 2**61
+RARELY = st.sampled_from((False,) * 9 + (True,))
+# pieces the fuzzer splices into an input: non-UTF-8 bytes, comments,
+# line breaks, signs, digits, section words and whole lines
+SPLICES = (
+    b"\xff", b"\xe9", b"\x80", b"#", b"\n", b" ", b"-", b"0", b"1", b"7", b"x",
+    b"weights\n", b"c\n", b"p edge 3 1\n", b"e 1 2\n", b"1 1\n", b"0 1\n",
+)
+COMMAND_FLAGS = {
+    "solve": (
+        ["--mode", "sound"], ["--mode", "naive"], ["--mode", "oracle"], ["--unit-weights"],
+        ["--demand", "1"], ["--demand", "0,2"], ["--demand", "9"], ["--demand", "x"],
+        ["--mode", "oracle", "--bound", "4"], ["--pin", "2"], ["--pin", "12"],
+    ),
+    "tree": (["--dot"],),
+    "recognize": (["--cls", "p5cop5"], ["--cls", "sat"], ["--cls", "patterns"]),
+}
+
+
+def _graph_text(draw, dimacs: bool) -> bytes:
+    """A GraphFile or DIMACS text on n <= 10 vertices, most of them
+    intact, the rest with up to three spliced or cut spots."""
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=15, unique=True)) if pairs else []
+    if dimacs:
+        lines = [f"p edge {n} {len(edges)}"] + [f"e {u + 1} {v + 1}" for u, v in edges]
+    else:
+        lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+        if draw(st.booleans()):
+            lines.append("weights")
+            lines += [f"{v} {draw(st.integers(-3, 50))}" for v in range(n)]
+    data = ("\n".join(lines) + "\n").encode()
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2, 3)))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 3))
+        data = data[:at] + draw(st.sampled_from(SPLICES + (b"",))) + data[at + cut:]
+    return data
+
+
+@st.composite
+def cli_cases(draw) -> tuple[str, list[str], bytes]:
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), max_size=3))
+    dimacs = draw(st.booleans())
+    # the flag mostly matches the text's format
+    if dimacs != draw(RARELY):
+        flags.append(["--dimacs"])
+    if draw(RARELY):
+        data = (f"p edge {HUGE_N} 0\n" if dimacs else f"{HUGE_N} 0\n").encode()
+    else:
+        data = _graph_text(draw, dimacs)
+    return command, [f for flag in flags for f in flag], data
+
+
+def _vertex_counts(text: str) -> list[str]:
+    """Every token either parser could take for the vertex count."""
+    found = []
+    for line in text.splitlines():
+        parts = line.split("#", 1)[0].split()
+        if parts:
+            found.append(parts[0])
+            break
+    for line in text.splitlines():
+        parts = line.split()
+        if len(parts) == 4 and parts[0] == "p":
+            found.append(parts[2])
+    return found
+
+
+def _allocates(token: str) -> bool:
+    """A header past 10 vertices but under 2**61 makes a real allocation
+    (10**8 vertices take 800 MB) and then a long solve."""
+    try:
+        return 10 < int(token) < HUGE_N
+    except ValueError:
+        return False
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=cli_cases())
+@example(case=("tree", [], f"{HUGE_N} 0\n".encode()))
+@example(case=("recognize", [], f"{HUGE_N} 0\n".encode()))
+@example(case=("solve", ["--dimacs"], f"p edge {HUGE_N} 0\n".encode()))
+def test_exit_code_contract_on_mutated_inputs(fuzz_file, case):
+    """Every input, however malformed, ends in a documented exit code
+    (0, 2, 3, 4 or 5), never in a traceback."""
+    command, flags, data = case
+    text = data.decode(errors="replace")
+    assume(not any(_allocates(token) for token in _vertex_counts(text)))
+    fuzz_file.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([command, str(fuzz_file), *flags])
+        except SystemExit as stop:  # argparse rejects flag values this way
+            code = stop.code
+    assert code in (0, 2, 3, 4, 5), err.getvalue()
+    assert "Traceback" not in err.getvalue()

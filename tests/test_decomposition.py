@@ -290,10 +290,29 @@ def test_module_mask_matches_fixpoint_closure(family_graphs):
 def test_classify_mask_agrees_with_tree_nodes(inclass_corpus, family_graphs):
     for g in [wg.graph for wg in inclass_corpus[:60]] + family_graphs:
         for node in build_tree(g).root.walk():
-            kind, arg = classify_mask(g, node.mask)
-            assert kind is node.kind
-            if kind is NodeKind.HOMOGENEOUS:
-                assert node.module == arg
-                assert node.rep == min(bits(arg))
-            elif kind is NodeKind.ANTINEIGHBORHOOD:
-                assert node.rep == arg
+            split = classify_mask(g, node.mask)
+            assert split.kind is node.kind and split.rep == node.rep
+            assert split.children == tuple(child.mask for child in node.children)
+            if split.kind is NodeKind.HOMOGENEOUS:
+                assert node.module == split.children[0]
+    # the split contract, on random sub-masks: induced subgraphs stay in
+    # class, so every one of them splits
+    rng = random.Random(1111)
+    for g in [wg.graph for wg in inclass_corpus[::5]] + family_graphs:
+        adj = g._adj
+        for mask in [g.full_bits] + [rng.getrandbits(g.n) for _ in range(8)]:
+            kind, rep, children = classify_mask(g, mask)
+            if kind in (NodeKind.LEAF_COMPLETE, NodeKind.LEAF_F):
+                assert rep is None and children == ()
+                continue
+            assert mask >> rep & 1
+            for child in children:
+                assert child & ~mask == 0 and child != mask
+            first, second = children
+            if kind is NodeKind.ANTINEIGHBORHOOD:
+                assert children == (mask & ~adj[rep], mask & ~(1 << rep))
+                continue
+            assert rep == min(bits(first)) and first.bit_count() >= 2
+            for z in bits(mask & ~first):
+                assert adj[z] & first in (0, first)
+            assert second & first == 1 << rep and second | first == mask
