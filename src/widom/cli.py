@@ -111,8 +111,7 @@ def _cmd_solve(args) -> int:
     start = time.perf_counter()
     if args.mode == "naive":
         if demands:
-            print("error: naive mode does not take --demand", file=sys.stderr)
-            return 2
+            raise GraphFormatError("naive mode does not take --demand")
         rep = solve_naive_eq1(wg, pin=args.pin)
         record.update(
             feasible=True,
@@ -128,11 +127,12 @@ def _cmd_solve(args) -> int:
         else:
             rep = oracle_constrained(wg, demands, bound=args.bound)
             value, witness = (rep.value, rep.witness) if rep else (None, None)
-        if witness is not None:
-            base = wg.graph
-            assert base.is_maximal_independent(witness)
-            assert all(witness & h for h in demands)
-            assert wg.weight_of(witness) == value
+        if witness is not None and not (
+            wg.graph.is_maximal_independent(witness)
+            and all(witness & h for h in demands)
+            and wg.weight_of(witness) == value
+        ):
+            raise AssertionError(f"{args.mode} witness {sorted(witness)} fails its re-check")
         record.update(
             feasible=witness is not None,
             value=value,
@@ -334,17 +334,7 @@ def _cmd_check(args) -> int:
         if problem is not None:
             failures += 1
             print(f"FAIL {entry['file']}: {problem}", file=sys.stderr)
-    print(
-        json.dumps(
-            {
-                "command": "check",
-                "suite": args.suite,
-                "graphs": total,
-                "failures": failures,
-            },
-            sort_keys=True,
-        )
-    )
+    _emit_record({"command": "check", "suite": args.suite, "graphs": total, "failures": failures})
     return 0 if failures == 0 else 1
 
 
@@ -383,11 +373,7 @@ def _gen_graphs(args) -> list[tuple[Graph, dict]]:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        produced = _gen_graphs(args)
-    except GenerationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    produced = _gen_graphs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(args.seed ^ 0x5EED)
@@ -509,7 +495,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
+    except (GraphFormatError, GenerationBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotInClassError as exc:
@@ -528,9 +514,6 @@ def main(argv=None) -> int:
     except PartitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

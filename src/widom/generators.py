@@ -13,7 +13,8 @@ import re
 from typing import Sequence
 
 from .graph import Graph
-from .patterns import Pattern, is_free
+from .io import emit_graph
+from .patterns import DOMINO, SUN3, Pattern, cycle_pattern, is_free
 from .satgraph import SatPartition, sat_partition
 
 
@@ -29,9 +30,7 @@ def path(n: int) -> Graph:
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, cycle_pattern(n).edges)
 
 
 def complete(n: int) -> Graph:
@@ -49,15 +48,12 @@ def star(leaves: int) -> Graph:
 
 def domino() -> Graph:
     """Two squares sharing the edge 2-3."""
-    return Graph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)])
+    return Graph(DOMINO.n, DOMINO.edges)
 
 
 def sun3() -> Graph:
     """Triangle 0,1,2 with tips 3 (~0,1), 4 (~0,2), 5 (~1,2)."""
-    return Graph(
-        6,
-        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5)],
-    )
+    return Graph(SUN3.n, SUN3.edges)
 
 
 def bull() -> Graph:
@@ -198,7 +194,5 @@ def substitute_with_map(
 
 
 def graph_hash(g: Graph) -> str:
-    """Stable content hash over the canonical edge-list text."""
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    """Stable content hash over the canonical GraphFile text."""
+    return hashlib.sha256(emit_graph(g).removesuffix("\n").encode()).hexdigest()

@@ -74,9 +74,6 @@ class Graph:
         """All vertices with no edge to v, including v itself."""
         return frozenset(bits(self._full & ~self._adj[v]))
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     # -- predicates ----------------------------------------------------
 
     def is_complete(self) -> bool:

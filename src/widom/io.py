@@ -122,6 +122,8 @@ def parse_dimacs(text: str) -> Graph:
             if n is None:
                 raise GraphFormatError(f"line {idx}: edge before problem line")
             u, v = _ints(idx, " ".join(parts[1:]), 2, "edge 'e u v'")
+            if not (0 < u <= n and 0 < v <= n) or u == v:
+                raise GraphFormatError(f"line {idx}: bad edge ({u},{v}) for n={n}")
             edges.append((u - 1, v - 1))
         else:
             raise GraphFormatError(f"line {idx}: unrecognized line {line!r}")
@@ -144,11 +146,11 @@ def read_text(path: str | Path) -> tuple[str, bytes]:
         raise GraphFormatError(f"{path}: line {line}: not UTF-8 text") from None
 
 
-def parse_graph_file(path: str | Path, dimacs: bool = False) -> Graph | WeightedGraph:
-    """Parse a graph file; a GraphFormatError names the file."""
+def parse_graph_file(path: str | Path) -> Graph | WeightedGraph:
+    """Parse a GraphFile; a GraphFormatError names the file."""
     text, _ = read_text(path)
     try:
-        return parse_dimacs(text) if dimacs else parse_graph(text)
+        return parse_graph(text)
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
 

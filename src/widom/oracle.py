@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .graph import Graph, WeightedGraph, bits, set_precedes
+from .graph import Graph, WeightedGraph, bits, set_precedes, unit_weights
 
 DEFAULT_BOUND = 25
 
@@ -70,26 +70,12 @@ class OracleReport:
     enumeration_size: int
 
 
-def _best(
-    sets: Iterable[frozenset[int]], weight: dict[int, int] | tuple[int, ...]
-) -> tuple[int, frozenset[int]] | None:
-    best: tuple[int, frozenset[int]] | None = None
-    for s in sets:
-        w = sum(weight[v] for v in s)
-        if best is None or w < best[0] or (w == best[0] and set_precedes(s, best[1])):
-            best = (w, s)
-    return best
-
-
 def oracle_wid(wg: WeightedGraph, bound: int = DEFAULT_BOUND) -> OracleReport:
-    sets = enumerate_mis(wg.graph, bound)
-    found = _best(sets, wg.weights)
-    assert found is not None  # every graph has at least one MIS
-    return OracleReport(found[0], found[1], len(sets))
+    return oracle_constrained(wg, (), bound)
 
 
 def oracle_id(g: Graph, bound: int = DEFAULT_BOUND) -> OracleReport:
-    return oracle_wid(WeightedGraph(g, (1,) * g.n), bound)
+    return oracle_wid(unit_weights(g), bound)
 
 
 def oracle_constrained(
@@ -103,11 +89,14 @@ def oracle_constrained(
         if not h:
             raise ValueError("empty hitset can never be satisfied")
     sets = enumerate_mis(wg.graph, bound)
-    feasible = [s for s in sets if all(s & h for h in demands)]
-    found = _best(feasible, wg.weights)
-    if found is None:
-        return None
-    return OracleReport(found[0], found[1], len(sets))
+    best: tuple[int, frozenset[int]] | None = None
+    for s in sets:
+        if not all(s & h for h in demands):
+            continue
+        w = wg.weight_of(s)
+        if best is None or w < best[0] or (w == best[0] and set_precedes(s, best[1])):
+            best = (w, s)
+    return None if best is None else OracleReport(best[0], best[1], len(sets))
 
 
 def oracle_min_dominating(g: Graph, bound: int = DEFAULT_BOUND) -> OracleReport:

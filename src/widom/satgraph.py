@@ -85,16 +85,16 @@ def sat_partition(g: Graph, a: Iterable[int], b: Iterable[int]) -> SatPartition:
     return SatPartition(aset, bset, tuple(matching))
 
 
-def find_sat_partition(g: Graph, bound: int = 20) -> SatPartition | None:
+def find_sat_partition(g: Graph) -> SatPartition | None:
     """Exhaustive search for a valid sat-partition (first one found).
 
     Candidate B sets are built from the set of edges both of whose
-    endpoints could still be matched; exponential, hence the bound,
-    past which it raises OracleBoundError.
+    endpoints could still be matched; exponential, hence the bound of
+    20 vertices, past which it raises OracleBoundError.
     """
-    if g.n > bound:
+    if g.n > 20:
         raise OracleBoundError(
-            f"sat-partition search limited to n <= {bound}, got n = {g.n}; "
+            f"sat-partition search limited to n <= 20, got n = {g.n}; "
             "give a known partition instead (--partition)"
         )
     # B is a union of vertex-disjoint edges; enumerate matchings.

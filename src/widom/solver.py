@@ -53,7 +53,7 @@ from .decomposition import (
     build_node,
     classify_mask,
 )
-from .graph import Graph, WeightedGraph, bits, set_precedes
+from .graph import Graph, WeightedGraph, bits, set_precedes, unit_weights
 
 
 @dataclass(frozen=True)
@@ -80,19 +80,18 @@ def _leaf_candidates(adj: Sequence[int], mask: int, kind: NodeKind) -> list[int]
 
 class _Ctx:
     """Per-solve state of the sound mode: the graph, the shape cache, the
-    memo and the vertex ranks.
+    memo and the weights.
 
-    A set's rank is the sum of its vertices' ranks: its weight above n
-    low bits, minus its mask with the bit order reversed.  On equal
-    weight, the set holding the smallest vertex on which two sets differ
-    has the larger reversed mask, so rank order is (weight,
-    ``set_precedes``) order, and both parts add up over disjoint unions.
+    A set's rank is its weight above n low bits, minus its mask with the
+    bit order reversed.  On equal weight, the set holding the smallest
+    vertex on which two sets differ has the larger reversed mask, so
+    rank order is (weight, ``set_precedes``) order, and ranks add up
+    over disjoint unions.
     """
 
-    __slots__ = ("graph", "adj", "shapes", "memo", "stats", "rank")
+    __slots__ = ("graph", "adj", "shapes", "memo", "stats", "n", "weights")
 
     def __init__(self, wg: WeightedGraph, stats: dict | None = None):
-        n = wg.n
         self.graph = wg.graph
         self.adj = wg.graph._adj
         self.shapes: dict[int, Split] = {}
@@ -100,7 +99,8 @@ class _Ctx:
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("subproblems", 0)
         self.stats.setdefault("max_k", 0)
-        self.rank = [(w << n) - (1 << (n - 1 - v)) for v, w in enumerate(wg.weights)]
+        self.n = wg.n
+        self.weights = wg.weights
 
 
 def _shape(ctx: _Ctx, mask: int) -> Split:
@@ -111,9 +111,17 @@ def _shape(ctx: _Ctx, mask: int) -> Split:
     return shape
 
 
+def _rank(ctx: _Ctx, s: int) -> int:
+    n, weights = ctx.n, ctx.weights
+    w = rev = 0
+    for u in bits(s):
+        w += weights[u]
+        rev |= 1 << (n - 1 - u)
+    return (w << n) - rev
+
+
 def _ranked(ctx: _Ctx, sets: Iterable[int]) -> list[tuple[int, int]]:
-    rank = ctx.rank
-    return sorted((sum(rank[u] for u in bits(s)), s) for s in sets)
+    return sorted((_rank(ctx, s), s) for s in sets)
 
 
 def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
@@ -149,7 +157,7 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
         # N(rep), which is one holding rep
         inner = _topk(ctx, module, forb & module, k)
         if inner:
-            drop = ctx.rank[rep]
+            drop = _rank(ctx, bh)
             outer = _topk(ctx, quotient, (forb & ~module) | outside, k)
             # pair (i, j) has (i + 1)(j + 1) - 1 pairs ranked above it
             joins = [
@@ -237,12 +245,11 @@ def solve_constrained(
 
 
 def solve_wid(wg: WeightedGraph, stats: dict | None = None) -> Solution:
-    ctx = _Ctx(wg, stats)
-    return _solution(wg, _topk(ctx, wg.graph.full_bits, 0, 1)[0][1])
+    return solve_constrained(wg, (), stats)
 
 
 def solve_id(g: Graph, stats: dict | None = None) -> Solution:
-    return solve_wid(WeightedGraph(g, (1,) * g.n), stats)
+    return solve_wid(unit_weights(g), stats)
 
 
 # ---------------------------------------------------------------------------

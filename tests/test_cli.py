@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import widom
 from widom.cli import _build_parser, main
 from widom.generators import domino, path, sun3
 from widom.graph import WeightedGraph
@@ -244,6 +249,25 @@ def test_dimacs_input(tmp_path, capsys):
     assert code == 0 and _record(out)["value"] == 2
 
 
+def test_witness_recheck_survives_optimize(p4_file):
+    """The solve witness is re-verified even under ``python -O``, which
+    strips assert statements."""
+    script = (
+        "import sys\n"
+        "from widom import cli\n"
+        "from widom.solver import Solution\n"
+        "cli.solve_constrained = lambda wg, demands: Solution(frozenset({0, 1}), 11)\n"
+        "cli.main(['solve', sys.argv[1]])\n"
+    )
+    src = str(Path(widom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script, p4_file], capture_output=True, text=True, env=env
+    )
+    assert run.returncode != 0 and run.stdout == ""
+    assert "AssertionError: sound witness [0, 1] fails its re-check" in run.stderr
+
+
 def test_parser_built_once_and_demands_do_not_leak(p4_file, capsys):
     assert _build_parser() is _build_parser()
     code, out, _ = _run(capsys, "solve", p4_file, "--demand", "1", "--demand", "2")
@@ -258,6 +282,15 @@ BAD_INPUTS = {
     "pin out of range": (["solve", "{tri}", "--mode", "naive", "--pin", "9"], 2, "--pin"),
     "non-UTF-8 input": (["solve", "{latin}"], 2, "line 3"),
     "bad DIMACS header": (["solve", "{dimacs}", "--dimacs"], 2, "line 1"),
+    "naive mode with --demand": (
+        ["solve", "{tri}", "--mode", "naive", "--demand", "1"], 2, "naive mode does not take --demand"
+    ),
+    "gen out of sampling budget": (
+        ["gen", "--kind", "gnp", "--free", "--n", "12", "--p", "0.5", "--count", "50", "--out", "{out}"],
+        2, "gave up after 2000 rejections",
+    ),
+    "DIMACS edge out of range": (["solve", "{rangedimacs}", "--dimacs"], 2, "line 2: bad edge (3,4)"),
+    "DIMACS self-loop": (["solve", "{loopdimacs}", "--dimacs"], 2, "line 3: bad edge (2,2)"),
     "vertex count past an index": (["solve", "{huge}"], 2, "line 2: vertex count"),
     "DIMACS vertex count past an index": (
         ["solve", "{hugedimacs}", "--dimacs"], 2, "line 2: vertex count"
@@ -316,6 +349,8 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
     (tmp_path / "tri.graph").write_text("3 2\n0 1\n1 2\n")
     (tmp_path / "latin.graph").write_bytes(b"3 1\n0 1\n# caf\xe9\n")
     (tmp_path / "bad.dimacs").write_text("p edge x 3\ne 1 2\n")
+    (tmp_path / "range.dimacs").write_text("p edge 3 1\ne 3 4\n")
+    (tmp_path / "loop.dimacs").write_text("c self-loop\np edge 3 1\ne 2 2\n")
     # n past an index; a large n that fits one would allocate gigabytes
     (tmp_path / "huge.graph").write_text("# 20-digit n\n99999999999999999999 0\n")
     (tmp_path / "huge.dimacs").write_text("c 20-digit n\np edge 99999999999999999999 0\n")
@@ -345,6 +380,7 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
             ("huge", "huge.graph"), ("hugedimacs", "huge.dimacs"),
             ("mem", "mem.graph"), ("memdimacs", "mem.dimacs"),
             ("deep", "deep.graph"),
+            ("rangedimacs", "range.dimacs"), ("loopdimacs", "loop.dimacs"),
         )
     }
     try:

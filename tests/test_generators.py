@@ -122,3 +122,19 @@ def test_graph_hash():
     assert graph_hash(path(3)) == graph_hash(path(3))
     assert graph_hash(path(3)) != graph_hash(path(4))
     assert graph_hash(Graph(3, [(0, 1)])) != graph_hash(Graph(3, [(1, 2)]))
+
+
+def test_graph_hash_digests_are_stable():
+    """gen manifests store these digests, so they must not drift."""
+    assert graph_hash(Graph(0)) == "933305f987bcf5fb6c250018e35a6eee1528f06013807a4136ec13622909af97"
+    assert graph_hash(path(3)) == "21687d4c03411e2d4f97e9b8a41d6a64724e0fa675f38648e70fff9cac5ed7c8"
+    g = Graph(4, [(2, 3), (0, 2)])
+    assert graph_hash(g) == "f8c68636508ea0dd31c8024896910a0ab2f73c8f3894f482153b74c859c5509d"
+
+
+def test_domino_and_sun3_edges():
+    assert domino().n == sun3().n == 6
+    assert domino().edges == {(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)}
+    assert sun3().edges == {
+        (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5)
+    }

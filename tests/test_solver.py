@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -274,3 +275,17 @@ def test_constrained_is_exact_where_it_answers_out_of_class():
                 assert g.is_maximal_independent(got.vertices)
                 assert all(got.vertices & set(d) for d in demands)
     assert answered >= 5
+
+
+def test_solver_memory_is_not_quadratic():
+    """No per-vertex table of n-bit ranks: an edgeless graph on 20,000
+    vertices solves in a few megabytes."""
+    g = Graph(20000)
+    tracemalloc.start()
+    try:
+        sol = solve_id(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.weight == 20000
+    assert peak < 10_000_000, peak
