@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from conftest import _split
 
 from widom import decomposition
 from widom.decomposition import (
@@ -316,3 +317,36 @@ def test_classify_mask_agrees_with_tree_nodes(inclass_corpus, family_graphs):
             for z in bits(mask & ~first):
                 assert adj[z] & first in (0, first)
             assert second & first == 1 << rep and second | first == mask
+
+
+def test_module_mask_matches_fixpoint_closure_near_prime():
+    # past the gnp sizes above: random split graphs, whose twins are
+    # rare, so the search tries nearly every pair before it answers
+    from test_substituted import substituted_graph
+
+    rng = random.Random(2030)
+    graphs = [_split(rng, n) for n in range(20, 31) for _ in range(2)]
+    graphs += [substituted_graph(rng, lo=20 + 2 * i) for i in range(10)]
+    for g in graphs:
+        masks = [g.full_bits] + [rng.getrandbits(g.n) for _ in range(8)]
+        for mask in masks:
+            assert find_module_mask(g._adj, mask) == _fixpoint_module_mask(g._adj, mask)
+
+
+class _CountingAdj(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_module_search_reads_quadratic_on_prime_mask():
+    # each pair stops once its closure reaches a vertex already known to
+    # close to the whole mask, so a prime mask costs O(n^2) reads (about
+    # 0.64 n^2 here), not one full closure per pair
+    n = 160
+    g = _split(random.Random(n), n)
+    adj = _CountingAdj(g._adj)
+    assert find_module_mask(adj, g.full_bits) == 0
+    assert adj.reads <= n * n
