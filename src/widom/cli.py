@@ -8,8 +8,9 @@ diagnostics go to stderr.  Exit codes:
 1  check suite failed
 2  bad input: unreadable file, malformed graph, flag value out of range
 3  graph outside the solvable class
-4  size bound: an exhaustive search (oracle, sat-partition search), or
-   a decomposition deeper than Python's recursion limit
+4  size bound: an exhaustive search (oracle, sat-partition search, the
+   thm1 equivalence check), or a decomposition deeper than Python's
+   recursion limit
 5  invalid or missing partition
 """
 
@@ -24,7 +25,7 @@ import sys
 import time
 from pathlib import Path
 
-from .decomposition import NotInClassError, build_tree, tree_to_dot, tree_to_json_text
+from .decomposition import NotInClassError, build_tree, is_prime, tree_to_dot, tree_to_json_text
 from .generators import (
     GenerationBudgetError,
     gnp,
@@ -48,7 +49,9 @@ from .io import (
     read_text,
 )
 from .oracle import OracleBoundError, oracle_constrained, oracle_id
-from .patterns import C4, C5, C6, CO_P5, DOMINO, P5, SUN3, find_induced, is_free
+from .patterns import (
+    C4, C5, C6, CO_P5, DOMINO, P5, SUN3, find_antisimplicial, find_induced, is_c5, is_free,
+)
 from .satgraph import (
     ab_edges,
     check_gstar_properties,
@@ -294,17 +297,12 @@ def _check_one(suite: str, entry, g: Graph | WeightedGraph) -> str | None:
         cls = check_reduction_class(red)
         if not cls.ok:
             return f"class guarantees failed: {cls}"
-        eq = check_reduction_equivalence(base, bound=max(30, 3 * base.n))
+        eq = check_reduction_equivalence(base)
         if not eq.equal:
             return f"target optimum {eq.idw_target.value} != n + {eq.gamma_dom.value}"
         return None
     if suite == "lemma6":
-        from .decomposition import is_prime
-        from .patterns import find_antisimplicial, is_c5
-
-        if not is_free(base, (P5, CO_P5)):
-            return None
-        if base.is_complete() or not is_prime(base):
+        if not is_free(base, (P5, CO_P5)) or base.is_complete() or not is_prime(base):
             return None
         if is_c5(base) or find_antisimplicial(base) is not None:
             return None
@@ -385,7 +383,7 @@ def _cmd_gen(args) -> int:
             payload = WeightedGraph(g, tuple(rng.randint(lo, hi) for _ in range(g.n)))
         name = f"g{i:04d}.graph"
         (out_dir / name).write_text(emit_graph(payload))
-        entry = {"file": name, "hash": graph_hash(g), "n": g.n, "m": len(g.edges)}
+        entry = {"file": name, "hash": graph_hash(g), "n": g.n, "m": g.edge_count()}
         entry.update(extra)
         entries.append(entry)
     manifest = {

@@ -23,7 +23,7 @@ JSON text, is the one a full closure of every pair gives.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -216,12 +216,29 @@ def classify_mask(g: Graph, mask: int) -> Split:
 
 @dataclass(frozen=True)
 class DecompNode:
+    """A tree node: its vertices, and on an internal node the rep and the
+    subtrees on ``classify_mask``'s child masks, all in root ids."""
+
     kind: NodeKind
-    mask: int  # the node's vertices, as a bitmask of root ids
-    label: tuple[int, int] | None = None  # root ids, internal nodes only
-    module: int | None = None  # root-id bitmask, homogeneous nodes only
-    rep: int | None = None  # root id: h for homogeneous, v for antineighborhood
-    children: tuple["DecompNode", ...] = field(default_factory=tuple)
+    mask: int
+    rep: int | None = None  # h for homogeneous, v for antineighborhood
+    children: tuple["DecompNode", ...] = ()
+
+    @property
+    def module(self) -> int | None:
+        """The module's bitmask, on homogeneous nodes only."""
+        return self.children[0].mask if self.kind is NodeKind.HOMOGENEOUS else None
+
+    @property
+    def label(self) -> tuple[int, int] | None:
+        """On internal nodes, the module's second vertex, or v, paired with
+        the lowest vertex outside the first child: outside the module, or
+        in N(v)."""
+        if not self.children:
+            return None
+        first, rep = self.children[0].mask, self.rep
+        left = rep if self.kind is NodeKind.ANTINEIGHBORHOOD else _low(first & ~(1 << rep))
+        return (left, _low(self.mask & ~first))
 
     def walk(self):
         """Every node of the subtree in preorder, one stack step each."""
@@ -235,43 +252,33 @@ class DecompNode:
 @dataclass(frozen=True)
 class DecompTree:
     root: DecompNode
-    node_count: int
-    internal_count: int
+
+    @property
+    def node_count(self) -> int:
+        return sum(1 for _ in self.root.walk())
+
+    @property
+    def internal_count(self) -> int:
+        return sum(1 for node in self.root.walk() if node.children)
 
 
 def build_node(g: Graph, mask: int, split: Split) -> DecompNode:
     """The subtree on mask whose root splits as ``split``; every node
-    below it splits as ``classify_mask`` says.
-
-    A label pairs the module's second vertex, or v, with the lowest
-    vertex outside the first child: outside the module, or in N(v).
-    """
+    below it splits as ``classify_mask`` says."""
     kind, rep, children = split
     if not children:
         return DecompNode(kind, mask)
     first, second = children
-    module = first if kind is NodeKind.HOMOGENEOUS else None
-    left = rep if module is None else _low(module & ~(1 << rep))
-    return DecompNode(
-        kind,
-        mask,
-        label=(left, _low(mask & ~first)),
-        module=module,
-        rep=rep,
-        children=(
-            build_node(g, first, classify_mask(g, first)),
-            build_node(g, second, classify_mask(g, second)),
-        ),
-    )
+    return DecompNode(kind, mask, rep, (
+        build_node(g, first, classify_mask(g, first)),
+        build_node(g, second, classify_mask(g, second)),
+    ))
 
 
 def build_tree(g: Graph) -> DecompTree:
     """Deterministic decomposition tree of g (root ids in all labels)."""
     full = g.full_bits
-    root = build_node(g, full, classify_mask(g, full))
-    nodes = list(root.walk())
-    internal = sum(1 for node in nodes if node.label is not None)
-    return DecompTree(root, len(nodes), internal)
+    return DecompTree(build_node(g, full, classify_mask(g, full)))
 
 
 def tree_to_json(tree: DecompTree) -> dict:
@@ -281,13 +288,11 @@ def tree_to_json(tree: DecompTree) -> dict:
             "n": node.mask.bit_count(),
             "vertices": list(bits(node.mask)),
         }
-        if node.label is not None:
-            out["label"] = list(node.label)
-            out["rep"] = node.rep
+        if node.children:
+            out.update(label=list(node.label), rep=node.rep)
+            out["children"] = [encode(c) for c in node.children]
         if node.module is not None:
             out["module"] = list(bits(node.module))
-        if node.children:
-            out["children"] = [encode(c) for c in node.children]
         return out
 
     return {
@@ -306,8 +311,8 @@ def tree_to_dot(tree: DecompTree) -> str:
         my_id = counter
         counter += 1
         text = f"{node.kind.value}\\nn={node.mask.bit_count()}"
-        if node.label is not None:
-            text += f"\\nlabel=({node.label[0]},{node.label[1]})"
+        if node.children:
+            text += "\\nlabel=({},{})".format(*node.label)
         lines.append(f'  n{my_id} [label="{text}"];')
         for child in node.children:
             child_id = emit(child)

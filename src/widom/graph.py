@@ -2,7 +2,8 @@
 
 Vertices are 0..n-1.  Adjacency is kept as one Python int per vertex
 (bit v set on adj[u] iff u ~ v), which makes neighborhood algebra,
-independence tests and subgraph extraction cheap at desk scale.
+independence tests and subgraph extraction cheap at desk scale.  The
+masks are all a graph stores; its edge set is read off them.
 """
 
 from __future__ import annotations
@@ -26,30 +27,49 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def demand_masks(n: int, demands: Iterable[Iterable[int]]) -> list[int]:
+    """Each demand as a bitmask; ValueError on an empty one or on a
+    vertex outside 0..n-1."""
+    out = []
+    for d in demands:
+        hitset = frozenset(d)
+        if not hitset:
+            raise ValueError("empty demand hitset")
+        if any(not (0 <= u < n) for u in hitset):
+            raise ValueError(f"demand hitset {sorted(hitset)} out of range")
+        out.append(mask_of(hitset))
+    return out
+
+
 class Graph:
     """A finite simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_full")
+    __slots__ = ("n", "_adj", "_full")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = set()
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
-            if u > v:
-                u, v = v, u
-            norm.add((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
-        self.edges = frozenset(norm)
         self._adj = tuple(adj)
         self._full = (1 << n) - 1
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge as (u, v) with u < v, read off the adjacency masks."""
+        return frozenset(
+            (u, v) for u, nbrs in enumerate(self._adj) for v in bits(nbrs >> u + 1 << u + 1)
+        )
+
+    def edge_count(self) -> int:
+        return sum(nbrs.bit_count() for nbrs in self._adj) // 2
 
     # -- basic queries ------------------------------------------------
 
@@ -77,10 +97,10 @@ class Graph:
     # -- predicates ----------------------------------------------------
 
     def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
+        return self.edge_count() == self.n * (self.n - 1) // 2
 
     def is_edgeless(self) -> bool:
-        return not self.edges
+        return not any(self._adj)
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
         m = mask_of(vertices)
@@ -105,17 +125,13 @@ class Graph:
     # -- dunder --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -138,13 +154,8 @@ def remove_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int,
 
 
 def complement(g: Graph) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.adjacent(u, v)
-    ]
-    return Graph(g.n, edges)
+    n = g.n
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if not g.adjacent(u, v)])
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

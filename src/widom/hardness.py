@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, WeightedGraph
-from .oracle import OracleReport, oracle_min_dominating, oracle_wid
+from .oracle import OracleBoundError, OracleReport, oracle_min_dominating, oracle_wid
 from .patterns import C3, C4, C5, C6, SUN3, Occurrence, find_induced
 from .satgraph import SatPartition, sat_partition, verify_sat_partition
 
@@ -106,10 +106,11 @@ class EquivalenceReport:
     equal: bool
 
 
-def check_reduction_equivalence(source: Graph, bound: int = 10) -> EquivalenceReport:
-    """Brute-force both sides of the value equation id_w(G') = n + gamma(G)."""
+def check_reduction_equivalence(source: Graph, bound: int = 16) -> EquivalenceReport:
+    """Brute-force both sides of the value equation id_w(G') = n + gamma(G),
+    for sources with at most ``bound`` vertices (OracleBoundError past it)."""
     if source.n > bound:
-        raise ValueError(f"equivalence check limited to n <= {bound}")
+        raise OracleBoundError(f"equivalence check limited to n <= {bound}, got n = {source.n}")
     red = build_wid_reduction(source)
     dom = oracle_min_dominating(source)
     idw = oracle_wid(red.target, bound=3 * max(source.n, 1))

@@ -159,8 +159,9 @@ def emit_graph(g: Graph | WeightedGraph, meta: dict | None = None) -> str:
     """Canonical GraphFile text; metadata rides in a '# meta' comment."""
     wg = g if isinstance(g, WeightedGraph) else None
     base = wg.graph if wg else g
-    lines = [f"{base.n} {len(base.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(base.edges))
+    edges = sorted(base.edges)
+    lines = [f"{base.n} {len(edges)}"]
+    lines.extend(f"{u} {v}" for u, v in edges)
     if wg is not None:
         lines.append("weights")
         lines.extend(f"{v} {w}" for v, w in enumerate(wg.weights))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .graph import Graph, WeightedGraph, bits, set_precedes, unit_weights
+from .graph import Graph, WeightedGraph, bits, demand_masks, mask_of, set_precedes, unit_weights
 
 DEFAULT_BOUND = 25
 
@@ -27,7 +27,8 @@ def _check_bound(n: int, bound: int) -> None:
 
 
 def enumerate_mis(g: Graph, bound: int = DEFAULT_BOUND) -> list[frozenset[int]]:
-    """All maximal independent sets of g, sorted, each one verified.
+    """All maximal independent sets of g, each one verified, in
+    increasing order of their bitmasks (sum of 2**v over the set).
 
     Pivoting recursion over (chosen R, candidates P, excluded X) where
     the branching relation is non-adjacency: maximal independent sets
@@ -56,7 +57,7 @@ def enumerate_mis(g: Graph, bound: int = DEFAULT_BOUND) -> list[frozenset[int]]:
             x |= bv
 
     expand(0, full, 0)
-    sets = sorted(frozenset(bits(m)) for m in out)
+    sets = [frozenset(bits(m)) for m in sorted(out)]
     for s in sets:
         if not g.is_maximal_independent(s):
             raise AssertionError(f"enumeration produced a non-MIS: {sorted(s)}")
@@ -83,15 +84,13 @@ def oracle_constrained(
     hitsets: Iterable[frozenset[int]],
     bound: int = DEFAULT_BOUND,
 ) -> OracleReport | None:
-    """Minimum-weight MIS meeting every hitset, or None if none does."""
-    demands = [frozenset(h) for h in hitsets]
-    for h in demands:
-        if not h:
-            raise ValueError("empty hitset can never be satisfied")
+    """Minimum-weight MIS meeting every hitset, or None if none does;
+    an empty or out-of-range hitset raises ValueError."""
+    demands = demand_masks(wg.n, hitsets)
     sets = enumerate_mis(wg.graph, bound)
     best: tuple[int, frozenset[int]] | None = None
     for s in sets:
-        if not all(s & h for h in demands):
+        if not all(mask_of(s) & h for h in demands):
             continue
         w = wg.weight_of(s)
         if best is None or w < best[0] or (w == best[0] and set_precedes(s, best[1])):

@@ -114,10 +114,7 @@ def is_free(g: Graph, patterns: Sequence[Pattern]) -> bool:
 def is_antisimplicial(g: Graph, v: int) -> bool:
     """True iff the antineighborhood of v induces an edgeless graph."""
     anti = g.full_bits & ~g.adj_bits(v)
-    for u in bits(anti):
-        if g.adj_bits(u) & anti:
-            return False
-    return True
+    return not any(g.adj_bits(u) & anti for u in bits(anti))
 
 
 def find_antisimplicial(g: Graph) -> int | None:

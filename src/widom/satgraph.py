@@ -77,28 +77,26 @@ def sat_partition(g: Graph, a: Iterable[int], b: Iterable[int]) -> SatPartition:
         raise ValueError(f"not a sat-partition: {violation}")
     aset, bset = frozenset(a), frozenset(b)
     bmask = mask_of(bset)
-    matching = []
-    for v in sorted(bset):
-        partner = next(bits(g.adj_bits(v) & bmask))
-        if v < partner:
-            matching.append((v, partner))
-    return SatPartition(aset, bset, tuple(matching))
+    matching = tuple((v, w) for v in sorted(bset) for w in bits(g.adj_bits(v) & bmask) if v < w)
+    return SatPartition(aset, bset, matching)
 
 
 def find_sat_partition(g: Graph) -> SatPartition | None:
     """Exhaustive search for a valid sat-partition (first one found).
 
-    Candidate B sets are built from the set of edges both of whose
-    endpoints could still be matched; exponential, hence the bound of
-    20 vertices, past which it raises OracleBoundError.
+    B is a union of vertex-disjoint edges, tried in lexicographic order.
+    Only edges on no triangle can be B-edges: a common neighbour of both
+    ends would be an A-vertex seeing both, or a second B-neighbour.
+    Exponential, hence the bound of 20 vertices, past which it raises
+    OracleBoundError.
     """
     if g.n > 20:
         raise OracleBoundError(
             f"sat-partition search limited to n <= 20, got n = {g.n}; "
             "give a known partition instead (--partition)"
         )
-    # B is a union of vertex-disjoint edges; enumerate matchings.
-    all_edges = sorted(g.edges)
+    adj = g._adj
+    all_edges = sorted((u, v) for u, v in g.edges if not adj[u] & adj[v])
 
     def candidates(idx: int, used: int, chosen: list[tuple[int, int]]):
         yield tuple(chosen)

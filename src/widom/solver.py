@@ -53,7 +53,7 @@ from .decomposition import (
     build_node,
     classify_mask,
 )
-from .graph import Graph, WeightedGraph, bits, set_precedes, unit_weights
+from .graph import Graph, WeightedGraph, bits, demand_masks, set_precedes, unit_weights
 
 
 @dataclass(frozen=True)
@@ -190,18 +190,6 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _validated_hitsets(wg: WeightedGraph, demands: Iterable[Iterable[int]]) -> list[int]:
-    out = []
-    for d in demands:
-        hitset = frozenset(d)
-        if not hitset:
-            raise ValueError("empty demand hitset")
-        if any(not (0 <= u < wg.n) for u in hitset):
-            raise ValueError(f"demand hitset {sorted(hitset)} out of range")
-        out.append(sum(1 << u for u in hitset))
-    return out
-
-
 def _solution(wg: WeightedGraph, found: int) -> Solution:
     return Solution(frozenset(bits(found)), sum(wg.weights[u] for u in bits(found)))
 
@@ -227,7 +215,7 @@ def solve_constrained(
     can answer on a graph where ``solve_wid`` raises.  ``stats``, when
     given, is filled with instrumentation counters (subproblems, max_k).
     """
-    hitsets = _validated_hitsets(wg, demands)
+    hitsets = demand_masks(wg.n, demands)
     ctx = _Ctx(wg, stats)
     adj = ctx.adj
     forces = {0: 0}  # each independent set F to N(F)

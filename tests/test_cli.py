@@ -204,6 +204,18 @@ def test_gen_check_pipeline(tmp_path, capsys):
         assert code == 0, (suite, err)
 
 
+def test_check_thm1_suite(tmp_path, capsys):
+    out_dir = tmp_path / "sources"
+    code, *_ = _run(
+        capsys, "gen", "--kind", "gnp", "--n", "7", "--p", "0.3",
+        "--seed", "14", "--count", "4", "--out", str(out_dir),
+    )
+    assert code == 0
+    code, out, err = _run(capsys, "check", "--suite", "thm1", "--corpus", str(out_dir / "manifest.json"))
+    assert code == 0, err
+    assert _record(out) == {"command": "check", "suite": "thm1", "graphs": 4, "failures": 0}
+
+
 def test_gen_deterministic(tmp_path, capsys):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
@@ -311,6 +323,7 @@ BAD_INPUTS = {
         ["reduce", "{tri}", "--star", "--partition", "{part9}"], 5, "vertex 9"
     ),
     "sat search past its bound": (["recognize", "{e22}", "--cls", "sat"], 4, "n <= 20"),
+    "thm1 source past its bound": (["check", "--suite", "thm1", "--corpus", "{p17json}"], 4, "n <= 16"),
     "obstruction inside a module": (["solve", "{c6}"], 3, "P5 at (3, 4, 5, 6, 7)"),
     # a cograph: one smallest-pair module step, and one recursion level, per vertex
     "solve deeper than the recursion limit": (["solve", "{deep}"], 4, "recursion limit"),
@@ -359,6 +372,8 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
     (tmp_path / "folder").mkdir()
     (tmp_path / "part9.json").write_text('{"A": [9]}')
     (tmp_path / "e22.graph").write_text("22 0\n")
+    (tmp_path / "p17.graph").write_text(emit_graph(path(17)))
+    (tmp_path / "p17.json").write_text('{"graphs": [{"file": "p17.graph"}]}')
     (tmp_path / "deep.graph").write_text("1500 2\n1497 1498\n1498 1499\n")
     (tmp_path / "notjson.json").write_text("not json")
     (tmp_path / "list.json").write_text("[]")
@@ -379,7 +394,7 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
             ("partlistjson", "partlist.json"), ("partbjson", "partb.json"),
             ("huge", "huge.graph"), ("hugedimacs", "huge.dimacs"),
             ("mem", "mem.graph"), ("memdimacs", "mem.dimacs"),
-            ("deep", "deep.graph"),
+            ("deep", "deep.graph"), ("p17json", "p17.json"),
             ("rangedimacs", "range.dimacs"), ("loopdimacs", "loop.dimacs"),
         )
     }

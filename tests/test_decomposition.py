@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 
 import pytest
 from conftest import _split
@@ -140,6 +141,18 @@ def test_label_distinctness_and_bound(inclass_corpus):
         assert len(labels) == len(set(labels))
         assert len(labels) == t.internal_count
         assert t.internal_count <= max(1, g.n * (g.n - 1))
+
+
+def test_nodes_and_trees_store_only_their_split():
+    assert [f.name for f in fields(decomposition.DecompNode)] == ["kind", "mask", "rep", "children"]
+    assert [f.name for f in fields(decomposition.DecompTree)] == ["root"]
+    # label, module and the counts are read off the masks and children
+    t = build_tree(cycle(4))
+    assert (t.root.label, t.root.module) == ((2, 1), mask_of((0, 2)))
+    leaf = t.root.children[0]
+    assert (leaf.label, leaf.module) == (None, None)
+    assert build_tree(path(4)).root.module is None
+    assert (t.node_count, t.internal_count) == (5, 2)
 
 
 def test_leaf_partition_of_vertices(inclass_corpus):

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from widom.graph import (
     WeightedGraph,
     bits,
     complement,
+    demand_masks,
     disjoint_union,
     induced_subgraph,
     mask_of,
@@ -29,6 +33,49 @@ def test_basic_shape():
 def test_edge_normalization_and_dedupe():
     g = Graph(3, [(2, 0), (0, 2), (1, 0)])
     assert g.edges == {(0, 1), (0, 2)}
+
+
+def test_edges_are_read_off_the_masks():
+    assert "edges" not in Graph.__slots__
+    rng = random.Random(29)
+    for _ in range(50):
+        n = rng.randint(0, 12)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(n * 2)] if n else []
+        pairs = [(u, v) for u, v in pairs if u != v]
+        g = Graph(n, pairs)
+        want = frozenset((min(u, v), max(u, v)) for u, v in pairs)
+        assert g.edges == want and isinstance(g.edges, frozenset)
+        assert g.edge_count() == len(want) and repr(g) == f"Graph(n={n}, m={len(want)})"
+        assert g.is_edgeless() == (not want)
+        again = Graph(n, sorted(want, reverse=True))
+        assert g == again and hash(g) == hash(again)
+    assert Graph(3) != Graph(4) and Graph(2, [(0, 1)]) != Graph(2)
+
+
+def test_parsed_dense_graph_holds_only_its_masks():
+    from widom.io import emit_graph, parse_graph
+
+    rng = random.Random(600)
+    n = 600
+    text = emit_graph(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]))
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 600 masks of 600 bits; a set of ~90,000 edge tuples would hold ~10 MB
+    assert held < 2_000_000
+    assert len(g.edges) > 80_000
+
+
+def test_demand_masks():
+    assert demand_masks(4, [[0, 3], (2,)]) == [0b1001, 0b100]
+    with pytest.raises(ValueError, match="empty demand"):
+        demand_masks(4, [[]])
+    for bad in ([4], [-1, 2]):
+        with pytest.raises(ValueError, match="out of range"):
+            demand_masks(4, [bad])
 
 
 def test_rejects_bad_edges():

@@ -32,6 +32,17 @@ def test_enumerate_c5():
     assert sets == sorted(sets, key=sorted)
 
 
+def test_enumeration_is_in_bitmask_order():
+    # sorted() on frozensets orders by inclusion, which leaves an
+    # antichain unordered; the sets come in increasing bitmask order
+    assert enumerate_mis(path(4)) == [{0, 2}, {0, 3}, {1, 3}]
+    rng = random.Random(181)
+    for _ in range(100):
+        n = rng.randint(1, 10)
+        masks = [sum(1 << v for v in s) for s in enumerate_mis(gnp(n, rng.random(), rng))]
+        assert masks == sorted(masks)
+
+
 def test_enumerate_edge_cases():
     assert enumerate_mis(Graph(0, [])) == [frozenset()]
     assert enumerate_mis(Graph(1, [])) == [frozenset({0})]
@@ -86,6 +97,9 @@ def test_oracle_constrained():
     assert oracle_constrained(wg, (frozenset({1}), frozenset({2}))) is None
     with pytest.raises(ValueError):
         oracle_constrained(wg, (frozenset(),))
+    # an out-of-range vertex is an error, as in solve_constrained, not "no MIS"
+    with pytest.raises(ValueError, match="out of range"):
+        oracle_constrained(WeightedGraph(path(3), (1, 1, 1)), [{7}])
 
 
 def test_oracle_constrained_agreement_with_filter():

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from widom.generators import complete, cycle, domino, path, sun3
+from widom import satgraph
+from widom.generators import complete, cycle, domino, gnp, path, sat_random, sun3
 from widom.graph import Graph, disjoint_union
 from widom.oracle import oracle_id
 from widom.patterns import DOMINO, SUN3, find_induced
@@ -169,3 +172,49 @@ def test_find_partition_on_c4():
     part = find_sat_partition(cycle(4))
     assert part is not None
     assert verify_sat_partition(cycle(4), part.a, part.b) is None
+
+
+def _unpruned_sat_partition(g):
+    """Reference: the search over matchings of every edge, in order."""
+    edges = sorted(g.edges)
+
+    def matchings(idx, used, chosen):
+        yield tuple(chosen)
+        for i in range(idx, len(edges)):
+            u, v = edges[i]
+            if not (used >> u & 1 or used >> v & 1):
+                yield from matchings(i + 1, used | 1 << u | 1 << v, chosen + [(u, v)])
+
+    for matching in matchings(0, 0, []):
+        b = frozenset(v for e in matching for v in e)
+        a = frozenset(range(g.n)) - b
+        if verify_sat_partition(g, a, b) is None:
+            return SatPartition(a, b, matching)
+    return None
+
+
+def test_partition_search_matches_unpruned_search():
+    rng = random.Random(2014)
+    graphs = [gnp(rng.randint(0, 10), rng.random(), rng) for _ in range(250)]
+    graphs += [sat_random(rng.randint(1, 4), rng.randint(0, 3), rng.random(), s)[0] for s in range(60)]
+    found = 0
+    for g in graphs:
+        want = _unpruned_sat_partition(g)
+        assert find_sat_partition(g) == want
+        found += want is not None
+    assert found > 60
+
+
+def test_partition_search_skips_edges_on_triangles(monkeypatch):
+    # K12 minus an edge: every edge lies on a triangle, so only the empty
+    # matching is tried (the unpruned search verifies 130,656)
+    calls = []
+
+    def counted(g, a, b):
+        calls.append(1)
+        return verify_sat_partition(g, a, b)
+
+    monkeypatch.setattr(satgraph, "verify_sat_partition", counted)
+    g = Graph(12, [e for e in complete(12).edges if e != (0, 1)])
+    assert find_sat_partition(g) is None
+    assert len(calls) == 1
