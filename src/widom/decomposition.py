@@ -6,11 +6,14 @@ contain a vertex whose antineighborhood has at most one edge.  Prime
 graphs with no such vertex are outside the guaranteed class; the search
 raises NotInClassError carrying a diagnostic witness when one exists.
 
-``classify_mask`` is the one place that decides which case applies and
-how a mask splits: it hands out the representative and the two child
-masks.  It takes the input graph and a bitmask of its vertex ids, so
-``build_tree`` and the sound solver walk subsets of the input without
-relabeling.  Tree nodes hold root-id masks too, and the JSON and DOT
+``classify_mask`` is the tree's case chain: it decides which case
+applies and hands out the representative and the two child masks.  It
+takes the input graph and a bitmask of its vertex ids, so ``build_tree``
+and the naive mode walk subsets of the input without relabeling.  Its
+two halves, ``leaf_kind`` and ``nonleaf_split``, are shared with the
+sound solver, whose answer does not depend on how a mask splits: it
+splits first at its highest-degree vertex when that vertex is good and
+falls back to ``nonleaf_split`` otherwise.  Tree nodes hold root-id masks too, and the JSON and DOT
 writers read vertex lists and sizes straight off them.
 
 The module a HOMOGENEOUS split uses is the first pair closure, in
@@ -187,23 +190,23 @@ def antineighborhood_split(adj: Sequence[int], mask: int, v: int) -> Split:
     return Split(NodeKind.ANTINEIGHBORHOOD, v, (mask & ~adj[v], mask & ~(1 << v)))
 
 
-def classify_mask(g: Graph, mask: int) -> Split:
-    """The case of the decomposition that applies to g's subgraph on mask.
-
-    The one case chain, read by ``build_tree`` and the sound solver: a
-    LEAF_COMPLETE leaf when complete, else a LEAF_F leaf when it has at
-    most one edge, else a HOMOGENEOUS split at the first smallest-pair
-    module, else an ANTINEIGHBORHOOD split at the smallest good vertex.
-    Raises NotInClassError, in g's ids, when it is prime with no good
-    vertex.
-    """
-    adj = g._adj
-    size = mask.bit_count()
-    edges = edge_count_within(adj, mask)
+def leaf_kind(size: int, edges: int) -> NodeKind | None:
+    """The leaf kind of a mask with ``size`` vertices and ``edges`` edges:
+    LEAF_COMPLETE when complete, else LEAF_F with at most one edge, else
+    None."""
     if edges == size * (size - 1) // 2:
-        return Split(NodeKind.LEAF_COMPLETE)
+        return NodeKind.LEAF_COMPLETE
     if edges <= 1:
-        return Split(NodeKind.LEAF_F)
+        return NodeKind.LEAF_F
+    return None
+
+
+def nonleaf_split(g: Graph, mask: int) -> Split:
+    """The split of a mask that is no leaf: a HOMOGENEOUS split at the
+    first smallest-pair module, else an ANTINEIGHBORHOOD split at the
+    smallest good vertex.  Raises NotInClassError, in g's ids, when the
+    mask is prime with no good vertex."""
+    adj = g._adj
     module = find_module_mask(adj, mask)
     if module:
         h = _low(module)
@@ -212,6 +215,17 @@ def classify_mask(g: Graph, mask: int) -> Split:
     if v < 0:
         _raise_not_in_class(g, mask)
     return antineighborhood_split(adj, mask, v)
+
+
+def classify_mask(g: Graph, mask: int) -> Split:
+    """The case of the decomposition that applies to g's subgraph on mask.
+
+    The tree's case chain, read by ``build_tree`` and the naive mode: a
+    leaf as ``leaf_kind`` says, else ``nonleaf_split``'s module or good
+    vertex.
+    """
+    kind = leaf_kind(mask.bit_count(), edge_count_within(g._adj, mask))
+    return Split(kind) if kind else nonleaf_split(g, mask)
 
 
 @dataclass(frozen=True)

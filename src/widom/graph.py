@@ -13,7 +13,19 @@ from typing import Iterable, Iterator
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+    """Yield the set bit positions of ``mask`` in increasing order.
+
+    Clearing the low bit copies the whole remaining integer, so past
+    1,024 bits the walk searches the reversed binary text instead, in
+    time linear in the mask's length.
+    """
+    if mask.bit_length() > 1024:
+        text = bin(mask)[:1:-1]
+        i = text.find("1")
+        while i >= 0:
+            yield i
+            i = text.find("1", i + 1)
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

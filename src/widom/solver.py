@@ -11,9 +11,9 @@ into smaller ones of the same form:
 * a leaf lists its few MIS and filters them;
 * at a good vertex v, the MIS holding v are v plus a MIS of the
   antineighborhood X, and there are at most two of those; the rest are
-  the MIS of G - v that meet N(v), and since the MIS of G - v missing
-  N(v) are MIS of X, the first ``k + |MIS(X)|`` sets of G - v hold the
-  first k that meet it;
+  the MIS of G - v that meet N(v).  The MIS of G - v missing N(v) are
+  the MIS of X that dominate N(v), so with s of those the first
+  ``k + s`` sets of G - v hold the first k that meet it;
 * at a module M with representative h, a MIS either avoids M, and is
   then a MIS of the quotient with h forbidden, or is a MIS of M joined
   with a MIS of the quotient that avoids N(h), and so contains h; the
@@ -26,9 +26,14 @@ bitmasks, and the memo keeps the longest list computed for it.  A
 MIS holds f exactly when it avoids N(f), so requiring f is forbidding
 N(f).  ``solve_constrained`` runs one top-1 query per way of picking a
 vertex from each demand, with the picked vertices' neighbors forbidden.
-The case, the representative and the two child masks depend only on
-the mask and come from ``decomposition.classify_mask``; ``_shape`` asks
-it lazily, once per mask per solve, so masks that forbidden vertices
+The answer is the unique rank-minimum set, whichever split each mask
+takes, so the solver picks its own: ``_split`` runs the leaf test, then
+splits at the mask's highest-degree vertex when that vertex is good, and
+only otherwise takes ``decomposition.nonleaf_split``, the module search
+and smallest good vertex of the tree's ``classify_mask``.  A split
+graph is then one chain of good vertices.  The case, the representative
+and the two child masks depend only on the mask; ``_shape`` asks for
+them lazily, once per mask per solve, so masks that forbidden vertices
 prune away are never classified.
 
 ``solve_naive_eq1`` is the deliberately literal mode, a fold over the
@@ -52,6 +57,9 @@ from .decomposition import (
     antineighborhood_split,
     build_node,
     classify_mask,
+    edge_count_within,
+    leaf_kind,
+    nonleaf_split,
 )
 from .graph import Graph, WeightedGraph, bits, demand_masks, set_precedes, unit_weights
 
@@ -103,11 +111,31 @@ class _Ctx:
         self.weights = wg.weights
 
 
+def _split(ctx: _Ctx, mask: int) -> Split:
+    """How the solver splits ``mask``: one pass over it gives each
+    vertex's degree inside it, hence the leaf test and the highest-degree
+    vertex v (the smallest such id).  When v is good, split there; else
+    take the tree's ``nonleaf_split``."""
+    adj = ctx.adj
+    top, top_degree, degree_sum = -1, -1, 0
+    for u in bits(mask):
+        d = (adj[u] & mask).bit_count()
+        degree_sum += d
+        if d > top_degree:
+            top, top_degree = u, d
+    kind = leaf_kind(mask.bit_count(), degree_sum // 2)
+    if kind:
+        return Split(kind)
+    if edge_count_within(adj, mask & ~adj[top], limit=1) <= 1:
+        return antineighborhood_split(adj, mask, top)
+    return nonleaf_split(ctx.graph, mask)
+
+
 def _shape(ctx: _Ctx, mask: int) -> Split:
-    """``classify_mask`` on ``mask``, computed once per solve."""
+    """``_split`` on ``mask``, computed once per solve."""
     shape = ctx.shapes.get(mask)
     if shape is None:
-        shape = ctx.shapes[mask] = classify_mask(ctx.graph, mask)
+        shape = ctx.shapes[mask] = _split(ctx, mask)
     return shape
 
 
@@ -132,6 +160,11 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
     f.  A list shorter than the k it was computed for holds every such
     set, so the memo answers any later k from it; a longer k than stored
     is recomputed.
+
+    A good vertex v asks one state below it, (mask - v, forb - v), so a
+    chain of good-vertex splits from forb = 0 has one state per mask,
+    and k grows at v only by the held sets that dominate N(v), at most
+    two.  The count through module steps is measured, not bounded.
     """
     state = (mask, forb)
     hit = ctx.memo.get(state)
@@ -177,9 +210,10 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
         held = [s for s in held if not s & forb & ~bv]
         out = [] if forb & bv else _ranked(ctx, held)
         if nv & ~forb:
-            # v not chosen, so a neighbor must be; of the MIS of G - v
-            # only those inside X = anti - v, at most len(held), miss N(v)
-            rest = _topk(ctx, without_v, forb & ~bv, k + len(held))
+            # v not chosen, so a neighbor must be; the MIS of G - v that
+            # miss N(v) are the held sets less v that dominate N(v)
+            missing = sum(all(adj[u] & (s ^ bv) for u in bits(nv)) for s in held)
+            rest = _topk(ctx, without_v, forb & ~bv, k + missing)
             out = sorted(out + [e for e in rest if e[1] & nv])[:k]
 
     else:

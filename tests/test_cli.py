@@ -288,6 +288,21 @@ def test_parser_built_once_and_demands_do_not_leak(p4_file, capsys):
     assert code == 0 and _record(out)["witness"] == [0, 2]
 
 
+# a P3 plus 1,497 isolated vertices
+DEEP_P3 = "1500 2\n1497 1498\n1498 1499\n"
+
+
+def test_deep_tree_input_solves_at_a_good_vertex(tmp_path, capsys):
+    """The tree splits this input at one module per vertex, past the
+    recursion limit; the solver splits at the P3's middle vertex, whose
+    antineighborhood has no edge, and answers at depth 1."""
+    deep = tmp_path / "deep.graph"
+    deep.write_text(DEEP_P3)
+    code, out, err = _run(capsys, "solve", str(deep))
+    assert code == 0, err
+    assert _record(out)["value"] == 1498
+
+
 # (argv, exit code, a fragment the message must contain)
 BAD_INPUTS = {
     "demand out of range": (["solve", "{tri}", "--demand", "7"], 2, "--demand"),
@@ -325,8 +340,9 @@ BAD_INPUTS = {
     "sat search past its bound": (["recognize", "{e22}", "--cls", "sat"], 4, "n <= 20"),
     "thm1 source past its bound": (["check", "--suite", "thm1", "--corpus", "{p17json}"], 4, "n <= 16"),
     "obstruction inside a module": (["solve", "{c6}"], 3, "P5 at (3, 4, 5, 6, 7)"),
-    # a cograph: one smallest-pair module step, and one recursion level, per vertex
-    "solve deeper than the recursion limit": (["solve", "{deep}"], 4, "recursion limit"),
+    # cographs: one smallest-pair module step, and one recursion level, per
+    # vertex; disjoint P3s have no good vertex at any step of the solver
+    "solve deeper than the recursion limit": (["solve", "{p3s}"], 4, "recursion limit"),
     "tree deeper than the recursion limit": (["tree", "{deep}"], 4, "recursion limit"),
     "check manifest not JSON": (
         ["check", "--suite", "solver", "--corpus", "{notjson}"], 2, "notjson.json: line 1"
@@ -374,7 +390,9 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
     (tmp_path / "e22.graph").write_text("22 0\n")
     (tmp_path / "p17.graph").write_text(emit_graph(path(17)))
     (tmp_path / "p17.json").write_text('{"graphs": [{"file": "p17.graph"}]}')
-    (tmp_path / "deep.graph").write_text("1500 2\n1497 1498\n1498 1499\n")
+    (tmp_path / "deep.graph").write_text(DEEP_P3)
+    p3s = "".join(f"{3 * i} {3 * i + 1}\n{3 * i + 1} {3 * i + 2}\n" for i in range(1000))
+    (tmp_path / "p3s.graph").write_text(f"3000 2000\n{p3s}")
     (tmp_path / "notjson.json").write_text("not json")
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "nofile.json").write_text('{"graphs": [{"file": "tri.graph"}, {"n": 3}]}')
@@ -394,7 +412,7 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
             ("partlistjson", "partlist.json"), ("partbjson", "partb.json"),
             ("huge", "huge.graph"), ("hugedimacs", "huge.dimacs"),
             ("mem", "mem.graph"), ("memdimacs", "mem.dimacs"),
-            ("deep", "deep.graph"), ("p17json", "p17.json"),
+            ("deep", "deep.graph"), ("p3s", "p3s.graph"), ("p17json", "p17.json"),
             ("rangedimacs", "range.dimacs"), ("loopdimacs", "loop.dimacs"),
         )
     }

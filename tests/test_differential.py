@@ -36,7 +36,7 @@ def test_solver_and_tree_match_cotree_references(make, n):
     assert ref.check_tree(inst.adj(), n, tree_to_json(build_tree(g))) > 0
 
 
-@pytest.mark.parametrize("n", [40, 50])
+@pytest.mark.parametrize("n", [40, 50, 400, 1000])
 def test_solver_matches_split_reference(n):
     inst = wl.split_graph(random.Random(n), n)
     adj, wg = inst.adj(), WeightedGraph(Graph(inst.n, inst.edges), inst.weights)
@@ -64,21 +64,31 @@ def test_solver_matches_split_reference(n):
 
 
 @pytest.mark.parametrize(
-    "make, n, limit",
-    [(wl.threshold_graph, 400, 5 * 400), (wl.split_graph, 40, 2000), (wl.split_graph, 80, 5000)],
-    ids=["threshold", "split", "split80"],
+    "make, n, limit, max_k",
+    [
+        (wl.threshold_graph, 400, 5 * 400, None),
+        (wl.split_graph, 40, 2000, None),
+        (wl.split_graph, 80, 5000, None),
+        (wl.split_graph, 400, 400 // 2 + 1, 1),
+    ],
+    ids=["threshold", "split", "split80", "split400"],
 )
-def test_subproblem_count_guard(make, n, limit):
+def test_subproblem_count_guard(make, n, limit, max_k):
     """Ranked lists keep these families far from the exponential count
     of demand sets (split n = 40 took 301,487 subproblems) and from the
     quadratic count of weight overrides (threshold n = 400 took 158,404).
     Requiring a vertex by forbidding its neighbors, rather than keeping a
     forced set in the state, keeps split n = 80 off the 45,115 states it
-    took with one."""
+    took with one.  Splitting at a good highest-degree vertex before any
+    module search walks a split graph as one chain of clique vertices,
+    one state per mask with k = 1 (split n = 400 took 499,468 states
+    with module search first)."""
     inst = make(random.Random(n), n)
     stats: dict = {}
     solve_wid(WeightedGraph(Graph(inst.n, inst.edges), inst.weights), stats)
     assert stats["subproblems"] <= limit
+    if max_k is not None:
+        assert stats["max_k"] == max_k
 
 
 def _cotree_constrained(tree, weights, demands):

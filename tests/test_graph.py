@@ -92,6 +92,16 @@ def test_mask_helpers():
     assert list(bits(0b100101)) == [0, 2, 5]
 
 
+@pytest.mark.parametrize("length", [1, 63, 64, 1023, 1024, 1025, 1026, 5000])
+def test_bits_on_both_sides_of_the_text_walk(length):
+    """Masks past 1,024 bits are walked as text; every length lists the
+    same positions as a plain per-bit test."""
+    rng = random.Random(length)
+    top = 1 << (length - 1)
+    for mask in (top, (top << 1) - 1, top | rng.getrandbits(length), top | 1):
+        assert list(bits(mask)) == [i for i in range(length) if mask >> i & 1]
+
+
 def test_independence_predicates():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert g.is_independent({0, 2})

@@ -136,6 +136,35 @@ def test_solver_matches_oracle_property(data):
     assert (got.weight, got.vertices) == (want.value, want.witness)
 
 
+def test_solver_in_and_out_of_class_matches_oracle_or_names_an_obstruction():
+    """On gnp graphs in and out of class, whatever split the solver takes:
+    an answer is the oracle's value and witness, and a refusal names an
+    induced P5 or co-P5 of the input, vertex i hosting pattern vertex i."""
+    rng = random.Random(1515)
+    patterns = {pat.name: pat for pat in (P5, CO_P5)}
+    answered = refused = 0
+    for _ in range(500):
+        n = rng.randint(5, 12)
+        g = gnp(n, rng.random(), rng)
+        wg = WeightedGraph(g, tuple(rng.randint(0, 20) for _ in range(n)))
+        try:
+            got = solve_wid(wg)
+        except NotInClassError as err:
+            refused += 1
+            occ = err.occurrence
+            assert occ is not None
+            pat, hosts = patterns[occ.pattern_name], occ.vertices
+            assert len(set(hosts)) == pat.n
+            for i in range(pat.n):
+                for j in range(i + 1, pat.n):
+                    assert g.adjacent(hosts[i], hosts[j]) == ((i, j) in pat.edges)
+            continue
+        answered += 1
+        want = oracle_wid(wg)
+        assert (got.weight, got.vertices) == (want.value, want.witness)
+    assert answered >= 100 and refused >= 50, (answered, refused)
+
+
 # ---------------------------------------------------------------------------
 # the literal two-term recurrence
 # ---------------------------------------------------------------------------
@@ -207,13 +236,13 @@ def test_naive_agrees_often_but_not_always(inclass_corpus):
 
 def test_module_search_once_per_mask(family_graphs, monkeypatch):
     calls: Counter = Counter()
-    classify = solver.classify_mask
+    split = solver._split
 
-    def counted(g, mask):
+    def counted(ctx, mask):
         calls[mask] += 1
-        return classify(g, mask)
+        return split(ctx, mask)
 
-    monkeypatch.setattr(solver, "classify_mask", counted)
+    monkeypatch.setattr(solver, "_split", counted)
     rng = random.Random(99)
     for g in family_graphs:
         calls.clear()
