@@ -13,8 +13,9 @@ and the naive mode walk subsets of the input without relabeling.  Its
 two halves, ``leaf_kind`` and ``nonleaf_split``, are shared with the
 sound solver, whose answer does not depend on how a mask splits: it
 splits first at its highest-degree vertex when that vertex is good and
-falls back to ``nonleaf_split`` otherwise.  Tree nodes hold root-id masks too, and the JSON and DOT
-writers read vertex lists and sizes straight off them.
+falls back to ``nonleaf_split`` otherwise.  Tree nodes hold root-id
+masks too, and the JSON and DOT writers read vertex lists and sizes
+straight off them.
 
 The module a HOMOGENEOUS split uses is the first pair closure, in
 lexicographic pair order, that is a proper subset of the mask.

@@ -80,7 +80,7 @@ def test_subproblem_count_guard(make, n, limit, max_k):
     Requiring a vertex by forbidding its neighbors, rather than keeping a
     forced set in the state, keeps split n = 80 off the 45,115 states it
     took with one.  Splitting at a good highest-degree vertex before any
-    module search walks a split graph as one chain of clique vertices,
+    module search walks a split graph as one chain of good vertices,
     one state per mask with k = 1 (split n = 400 took 499,468 states
     with module search first)."""
     inst = make(random.Random(n), n)
