@@ -118,13 +118,14 @@ def find_module_mask(adj: Sequence[int], mask: int) -> int:
     return 0
 
 
+def is_good_vertex(adj: Sequence[int], mask: int, v: int) -> bool:
+    """Whether v's antineighborhood within mask has at most one edge."""
+    return edge_count_within(adj, mask & ~adj[v], limit=1) <= 1
+
+
 def find_good_vertex_mask(adj: Sequence[int], mask: int) -> int:
-    """Smallest vertex whose antineighborhood within mask has <= 1 edge."""
-    for v in bits(mask):
-        anti = mask & ~adj[v]
-        if edge_count_within(adj, anti, limit=1) <= 1:
-            return v
-    return -1
+    """Smallest good vertex of mask, or -1."""
+    return next((v for v in bits(mask) if is_good_vertex(adj, mask, v)), -1)
 
 
 # ---------------------------------------------------------------------------

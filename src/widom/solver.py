@@ -57,7 +57,7 @@ from .decomposition import (
     antineighborhood_split,
     build_node,
     classify_mask,
-    edge_count_within,
+    is_good_vertex,
     leaf_kind,
     nonleaf_split,
 )
@@ -126,7 +126,7 @@ def _split(ctx: _Ctx, mask: int) -> Split:
     kind = leaf_kind(mask.bit_count(), degree_sum // 2)
     if kind:
         return Split(kind)
-    if edge_count_within(adj, mask & ~adj[top], limit=1) <= 1:
+    if is_good_vertex(adj, mask, top):
         return antineighborhood_split(adj, mask, top)
     return nonleaf_split(ctx.graph, mask)
 
