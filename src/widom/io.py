@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .graph import Graph, WeightedGraph
 
@@ -29,13 +30,11 @@ class PartitionError(ValueError):
     """A clique/matched split is invalid or could not be obtained."""
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append((idx, line))
-    return out
+            yield idx, line
 
 
 def _ints(lineno: int, line: str, want: int, what: str) -> list[int]:
@@ -50,10 +49,10 @@ def _ints(lineno: int, line: str, want: int, what: str) -> list[int]:
         ) from None
 
 
-def _graph(lineno: int, n: int, edges: list[tuple[int, int]]) -> Graph:
+def _graph(lineno: int, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """``Graph(n, edges)`` for the header on ``lineno``, with its errors
-    as GraphFormatError.  A graph keeps a list of n adjacency masks, so n
-    must fit an index and then memory."""
+    as GraphFormatError.  A graph allocates its n adjacency masks before
+    it reads ``edges``, so n must fit an index and then memory."""
     try:
         return Graph(n, edges)
     except ValueError as exc:
@@ -62,33 +61,36 @@ def _graph(lineno: int, n: int, edges: list[tuple[int, int]]) -> Graph:
         raise GraphFormatError(f"line {lineno}: vertex count {n} is too large") from None
 
 
-def parse_graph(text: str) -> Graph | WeightedGraph:
-    lines = _content_lines(text)
-    if not lines:
-        raise GraphFormatError("empty input: missing the 'n m' header")
-    head, header = lines[0]
-    n, m = _ints(head, header, 2, "header 'n m'")
-    if n < 0 or m < 0:
-        raise GraphFormatError(f"line {head}: negative counts in header")
-    if len(lines) < 1 + m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for lineno, line in lines[1 : 1 + m]:
+def _edge_lines(lines: Iterator[tuple[int, str]], n: int, m: int) -> Iterator[tuple[int, int]]:
+    """The m edge lines after the header, each checked as it is read."""
+    found = 0
+    for found, (lineno, line) in zip(range(1, m + 1), lines):
         u, v = _ints(lineno, line, 2, "edge 'u v'")
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise GraphFormatError(f"line {lineno}: bad edge ({u},{v}) for n={n}")
-        edges.append((u, v))
-    g = _graph(head, n, edges)
+        yield u, v
+    if found < m:
+        raise GraphFormatError(f"expected {m} edge lines, found {found}")
 
-    rest = lines[1 + m :]
-    if not rest:
+
+def parse_graph(text: str) -> Graph | WeightedGraph:
+    lines = _content_lines(text)
+    head, header = next(lines, (0, ""))
+    if not header:
+        raise GraphFormatError("empty input: missing the 'n m' header")
+    n, m = _ints(head, header, 2, "header 'n m'")
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"line {head}: negative counts in header")
+    g = _graph(head, n, _edge_lines(lines, n, m))
+
+    lineno, word = next(lines, (0, ""))
+    if not word:
         return g
-    lineno, word = rest[0]
     if word != "weights":
         raise GraphFormatError(
             f"line {lineno}: expected 'weights' or end of file, got {word!r}"
         )
-    body = rest[1:]
+    body = list(lines)
     if len(body) != n:
         raise GraphFormatError(
             f"weights section needs {n} lines, found {len(body)}"

@@ -2,17 +2,17 @@
 
 A sat-graph partitions V into a clique A and a set B inducing a perfect
 matching ("B-edges"), such that no A-vertex sees both endpoints of one
-B-edge.  The transforms below rewire one A-B edge at a time in a way
-that raises the independent domination number by exactly one and, once
-applied to every original A-B edge, destroys all induced dominoes and
-3-suns.
+B-edge.  Each gamma step below rewires one A-B edge in a way that
+raises the independent domination number by exactly one; applied to
+every original A-B edge, the steps destroy all induced dominoes and
+3-suns.  One call runs its steps on one edge set, then builds the output
+graph and verifies its partition once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import Graph, bits, mask_of
 from .oracle import OracleBoundError
@@ -37,11 +37,11 @@ class TransformMarkers:
     """Which vertices/edges were added by gamma applications."""
 
     alpha_new: frozenset[int]
-    beta_new: frozenset[int]
     beta_new_edges: tuple[tuple[int, int], ...]
 
-
-EMPTY_MARKERS = TransformMarkers(frozenset(), frozenset(), ())
+    @property
+    def beta_new(self) -> frozenset[int]:
+        return frozenset(v for e in self.beta_new_edges for v in e)
 
 
 def verify_sat_partition(g: Graph, a: Iterable[int], b: Iterable[int]) -> str | None:
@@ -49,24 +49,26 @@ def verify_sat_partition(g: Graph, a: Iterable[int], b: Iterable[int]) -> str | 
     aset, bset = frozenset(a), frozenset(b)
     if aset & bset:
         return f"A and B overlap on {sorted(aset & bset)}"
-    if aset | bset != frozenset(range(g.n)):
-        missing = sorted(frozenset(range(g.n)) - (aset | bset))
-        return f"partition misses vertices {missing}"
-    for u, v in combinations(sorted(aset), 2):
-        if not g.adjacent(u, v):
-            return f"A is not a clique: {u} !~ {v}"
-    bmask = mask_of(bset)
-    for v in sorted(bset):
-        d = (g.adj_bits(v) & bmask).bit_count()
+    outside = sorted(v for v in aset | bset if not 0 <= v < g.n)
+    if outside:
+        return f"partition has vertices {outside} out of range for n={g.n}"
+    adj, amask, bmask = g._adj, mask_of(aset), mask_of(bset)
+    if amask | bmask != g.full_bits:
+        return f"partition misses vertices {list(bits(g.full_bits & ~(amask | bmask)))}"
+    above = amask
+    for u in bits(amask):
+        above ^= 1 << u
+        if above & ~adj[u]:
+            return f"A is not a clique: {u} !~ {next(bits(above & ~adj[u]))}"
+    for v in bits(bmask):
+        d = (adj[v] & bmask).bit_count()
         if d != 1:
             return f"B vertex {v} has {d} B-neighbors, expected 1"
-    for v in sorted(bset):
-        partner = next(bits(g.adj_bits(v) & bmask))
-        if partner < v:
-            continue
-        for x in sorted(aset):
-            if g.adjacent(x, v) and g.adjacent(x, partner):
-                return f"triangle ({x},{v},{partner}) over a B-edge"
+    for v in bits(bmask):
+        partner = next(bits(adj[v] & bmask))
+        common = adj[v] & adj[partner] & amask
+        if partner > v and common:
+            return f"triangle ({next(bits(common))},{v},{partner}) over a B-edge"
     return None
 
 
@@ -77,7 +79,7 @@ def sat_partition(g: Graph, a: Iterable[int], b: Iterable[int]) -> SatPartition:
         raise ValueError(f"not a sat-partition: {violation}")
     aset, bset = frozenset(a), frozenset(b)
     bmask = mask_of(bset)
-    matching = tuple((v, w) for v in sorted(bset) for w in bits(g.adj_bits(v) & bmask) if v < w)
+    matching = tuple((v, w) for v in bits(bmask) for w in bits(g.adj_bits(v) & bmask) if v < w)
     return SatPartition(aset, bset, matching)
 
 
@@ -134,25 +136,25 @@ class StarResult:
     applied_edges: tuple[tuple[int, int], ...]
 
 
-def _one_gamma(
-    g: Graph, part: SatPartition, markers: TransformMarkers, a: int, b: int
-) -> tuple[Graph, SatPartition, TransformMarkers, tuple[int, int, int]]:
-    if a not in part.a or b not in part.b or not g.adjacent(a, b):
-        raise ValueError(f"({a},{b}) is not an A-B edge of the partition")
-    v, x, y = g.n, g.n + 1, g.n + 2
-    edges = set(g.edges)
-    edges.discard((min(a, b), max(a, b)))
-    for other in part.a:
-        edges.add((other, v))
-    edges.update({(x, y), (min(v, b), max(v, b)), (v, x), (a, y)})
-    g2 = Graph(g.n + 3, edges)
-    part2 = sat_partition(g2, part.a | {v}, part.b | {x, y})
-    markers2 = TransformMarkers(
-        markers.alpha_new | {v},
-        markers.beta_new | {x, y},
-        markers.beta_new_edges + ((x, y),),
-    )
-    return g2, part2, markers2, (v, x, y)
+def _apply_gamma(g: Graph, part: SatPartition, todo: list[tuple[int, int]]) -> StarResult:
+    """Gamma on each (a, b) of ``todo`` in turn, step i adding vertices
+    n+3i, n+3i+1, n+3i+2: one edge set, one graph, one verification."""
+    edges, a_side, n, new_edges = set(g.edges), list(part.a), g.n, []
+    for a, b in todo:
+        ab = (min(a, b), max(a, b))
+        if a not in part.a or b not in part.b or ab not in edges:
+            raise ValueError(f"({a},{b}) is not an A-B edge of the partition")
+        v, x, y = n, n + 1, n + 2
+        edges.remove(ab)
+        edges.update((other, v) for other in a_side)
+        edges.update(((x, y), (b, v), (v, x), (a, y)))
+        a_side.append(v)
+        new_edges.append((x, y))
+        n += 3
+    markers = TransformMarkers(frozenset(a_side[len(part.a):]), tuple(new_edges))
+    g2 = Graph(n, edges)
+    part2 = sat_partition(g2, a_side, part.b | markers.beta_new)
+    return StarResult(g2, part2, markers, tuple(todo))
 
 
 def gamma_transform(g: Graph, part: SatPartition, a: int, b: int) -> GammaResult:
@@ -162,17 +164,14 @@ def gamma_transform(g: Graph, part: SatPartition, a: int, b: int) -> GammaResult
     Original vertices keep their ids; the three new vertices take
     n, n+1, n+2.  Raises ValueError unless (a, b) is an A-B edge.
     """
-    g2, part2, markers, (v, x, y) = _one_gamma(g, part, EMPTY_MARKERS, a, b)
-    return GammaResult(g2, part2, markers, v, x, y)
+    res = _apply_gamma(g, part, [(a, b)])
+    return GammaResult(res.graph, res.partition, res.markers, g.n, g.n + 1, g.n + 2)
 
 
 def ab_edges(g: Graph, part: SatPartition) -> list[tuple[int, int]]:
     """The (a, b) pairs with a in A, b in B, ab an edge; sorted."""
-    return sorted(
-        (a, b) for (u, w) in g.edges
-        for a, b in ((u, w), (w, u))
-        if a in part.a and b in part.b
-    )
+    bmask = mask_of(part.b)
+    return [(a, b) for a in sorted(part.a) for b in bits(g.adj_bits(a) & bmask)]
 
 
 def star_transform(g: Graph, part: SatPartition) -> StarResult:
@@ -182,11 +181,7 @@ def star_transform(g: Graph, part: SatPartition) -> StarResult:
     graph's A-B edges are rewired, which is what makes the result free
     of induced dominoes and 3-suns.
     """
-    todo = ab_edges(g, part)
-    cur, cur_part, markers = g, part, EMPTY_MARKERS
-    for a, b in todo:
-        cur, cur_part, markers, _ = _one_gamma(cur, cur_part, markers, a, b)
-    return StarResult(cur, cur_part, markers, tuple(todo))
+    return _apply_gamma(g, part, ab_edges(g, part))
 
 
 def check_obs1(g: Graph, part: SatPartition) -> str | None:

@@ -441,6 +441,7 @@ COMMAND_FLAGS = {
     ),
     "tree": (["--dot"],),
     "recognize": (["--cls", "p5cop5"], ["--cls", "sat"], ["--cls", "patterns"]),
+    "reduce": (["--star"], ["--wid"], ["--gamma", "0", "1"], ["--gamma", "2", "9"]),
 }
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,34 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("")
     with pytest.raises(GraphFormatError):
         parse_graph("2 5\n0 1\n")
+
+
+def test_edge_lines_are_checked_as_they_are_read():
+    # a bad edge line is reported before the count of edge lines runs short
+    with pytest.raises(GraphFormatError, match="line 3: expected edge 'u v', got 'weights'"):
+        parse_graph("3 5\n0 1\nweights\n")
+    with pytest.raises(GraphFormatError, match="expected 5 edge lines, found 1"):
+        parse_graph("2 5\n0 1\n")
+    with pytest.raises(GraphFormatError, match=f"expected {10**30} edge lines, found 1"):
+        parse_graph(f"2 {10**30}\n0 1\n")
+
+
+def test_parse_peak_memory_stays_near_the_text():
+    # split graph, n = 600: a clique on 300 vertices, and each of the
+    # 300 x 300 clique-independent pairs an edge with probability 1/2
+    rng = random.Random(600)
+    edges = [(u, v) for u in range(300) for v in range(u + 1, 300)]
+    edges += [(c, i) for i in range(300, 600) for c in range(300) if rng.random() < 0.5]
+    text = f"600 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count() == len(edges)
+    # 0.64 MB of text; a parser that held every line and edge tuple peaked at 20.5 MB
+    assert peak < 10 * 2**20
 
 
 def test_emit_is_canonical():

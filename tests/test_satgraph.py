@@ -5,6 +5,7 @@ import pytest
 from widom import satgraph
 from widom.generators import complete, cycle, domino, gnp, path, sat_random, sun3
 from widom.graph import Graph, disjoint_union
+from widom.io import emit_graph
 from widom.oracle import oracle_id
 from widom.patterns import DOMINO, SUN3, find_induced
 from widom.satgraph import (
@@ -17,7 +18,6 @@ from widom.satgraph import (
     sat_partition,
     star_transform,
     verify_sat_partition,
-    _one_gamma,
 )
 
 
@@ -49,6 +49,10 @@ def test_verify_rules_individually():
     # triangle rule: K3 with an edge in B and its apex in A
     k3 = complete(3)
     assert verify_sat_partition(k3, {0}, {1, 2}) is not None
+    # vertices outside 0..n-1 are named, whichever side holds them
+    p3 = path(3)
+    assert verify_sat_partition(p3, {0, 9}, {1, 2}) == "partition has vertices [9] out of range for n=3"
+    assert verify_sat_partition(p3, {0}, {-1, 1, 2}) == "partition has vertices [-1] out of range for n=3"
 
 
 def test_sat_partition_raises():
@@ -120,16 +124,58 @@ def test_partial_star_fails_properties(sat_corpus):
         edges = ab_edges(g, part)
         if len(edges) < 2:
             continue
-        from widom.satgraph import TransformMarkers
-
-        cur_g, cur_p = g, part
-        markers = TransformMarkers(frozenset(), frozenset(), ())
-        for a, b in edges[:-1]:
-            cur_g, cur_p, markers, _ = _one_gamma(cur_g, cur_p, markers, a, b)
-        assert check_gstar_properties(cur_g, cur_p, markers) is not None
+        res = satgraph._apply_gamma(g, part, edges[:-1])
+        assert check_gstar_properties(res.graph, res.partition, res.markers) is not None
         break
     else:
         pytest.skip("corpus held no multi-edge instance")
+
+
+def _stepwise_gamma(g, part, todo):
+    """Reference: one gamma step at a time, each building its graph and
+    verifying its partition; returns (graph, partition, markers)."""
+    alpha, beta, beta_edges = frozenset(), frozenset(), ()
+    for a, b in todo:
+        assert a in part.a and b in part.b and g.adjacent(a, b)
+        v, x, y = g.n, g.n + 1, g.n + 2
+        edges = set(g.edges) - {(min(a, b), max(a, b))}
+        edges.update((other, v) for other in part.a)
+        edges.update({(x, y), (b, v), (v, x), (a, y)})
+        g = Graph(g.n + 3, edges)
+        part = sat_partition(g, part.a | {v}, part.b | {x, y})
+        alpha, beta, beta_edges = alpha | {v}, beta | {x, y}, beta_edges + ((x, y),)
+    return g, part, (alpha, beta, beta_edges)
+
+
+def test_one_pass_transforms_match_stepwise_reference():
+    rng = random.Random(16)
+    for seed in range(100):
+        g, part = sat_random(rng.randint(1, 6), rng.randint(0, 5), rng.random(), seed)
+        edges = ab_edges(g, part)
+        runs = [(star_transform(g, part), edges)]
+        runs += [(gamma_transform(g, part, a, b), [(a, b)]) for a, b in edges[:2]]
+        for res, todo in runs:
+            want_g, want_part, want_markers = _stepwise_gamma(g, part, todo)
+            assert emit_graph(res.graph) == emit_graph(want_g)
+            assert res.partition == want_part
+            markers = res.markers
+            assert (markers.alpha_new, markers.beta_new, markers.beta_new_edges) == want_markers
+
+
+def test_star_verifies_its_partition_once(monkeypatch):
+    calls = []
+
+    def counted(g, a, b):
+        calls.append(g.n)
+        return sat_partition(g, a, b)
+
+    g, part = sat_random(4, 3, 0.5, 1)
+    k = len(ab_edges(g, part))
+    assert k >= 2
+    monkeypatch.setattr(satgraph, "sat_partition", counted)
+    res = star_transform(g, part)
+    assert res.graph.n == g.n + 3 * k
+    assert calls == [res.graph.n]
 
 
 def test_obs1_alignment_on_embedded_sun3():
