@@ -9,7 +9,7 @@ masks are all a graph stores; its edge set is read off them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -69,9 +69,14 @@ class Graph:
                 raise ValueError(f"self-loop at {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.n = n
-        self._adj = tuple(adj)
-        self._full = (1 << n) - 1
+        self.n, self._adj, self._full = n, tuple(adj), (1 << n) - 1
+
+    @classmethod
+    def from_masks(cls, adj: Sequence[int]) -> Graph:
+        """The graph with these masks, taken as symmetric, loop-free and in range."""
+        g = cls.__new__(cls)
+        g.n, g._adj, g._full = len(adj), tuple(adj), (1 << len(adj)) - 1
+        return g
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -166,13 +171,11 @@ def remove_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int,
 
 
 def complement(g: Graph) -> Graph:
-    n = g.n
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if not g.adjacent(u, v)])
+    return Graph.from_masks([g.full_bits ^ nbrs ^ 1 << v for v, nbrs in enumerate(g._adj)])
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    shifted = [(u + g.n, v + g.n) for (u, v) in h.edges]
-    return Graph(g.n + h.n, list(g.edges) + shifted)
+    return Graph.from_masks(g._adj + tuple(nbrs << g.n for nbrs in h._adj))
 
 
 def set_precedes(a: Iterable[int], b: Iterable[int]) -> bool:

@@ -14,7 +14,8 @@ import widom
 from widom.cli import _build_parser, main
 from widom.generators import domino, path, sun3
 from widom.graph import WeightedGraph
-from widom.io import emit_graph, extract_meta, parse_graph
+from widom.io import emit_graph, extract_meta, parse_graph, parse_graph_file
+from widom.satgraph import find_sat_partition
 
 
 @pytest.fixture()
@@ -428,9 +429,11 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
 HUGE_N = 2**61
 RARELY = st.sampled_from((False,) * 9 + (True,))
 # pieces the fuzzer splices into an input: non-UTF-8 bytes, comments,
-# line breaks, signs, digits, section words and whole lines
+# line breaks (also those only str.splitlines breaks at), signs, digits,
+# section words and whole lines
 SPLICES = (
-    b"\xff", b"\xe9", b"\x80", b"#", b"\n", b" ", b"-", b"0", b"1", b"7", b"x",
+    b"\xff", b"\xe9", b"\x80", b"#", b"\n", b"\r", b"\x0b", b"\x1c", "\u2028".encode(),
+    b" ", b"-", b"0", b"1", b"7", b"x",
     b"weights\n", b"c\n", b"p edge 3 1\n", b"e 1 2\n", b"1 1\n", b"0 1\n",
 )
 COMMAND_FLAGS = {
@@ -442,6 +445,11 @@ COMMAND_FLAGS = {
     "tree": (["--dot"],),
     "recognize": (["--cls", "p5cop5"], ["--cls", "sat"], ["--cls", "patterns"]),
     "reduce": (["--star"], ["--wid"], ["--gamma", "0", "1"], ["--gamma", "2", "9"]),
+    # check reads the fuzzed file through a manifest (see _fuzz_manifest)
+    "check": tuple(
+        ["--suite", suite]
+        for suite in ("obs1", "obs2", "lemma1", "lemma2", "thm1", "lemma6", "solver")
+    ),
 }
 
 
@@ -469,11 +477,15 @@ def _graph_text(draw, dimacs: bool) -> bytes:
 @st.composite
 def cli_cases(draw) -> tuple[str, list[str], bytes]:
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
-    flags = draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), max_size=3))
-    dimacs = draw(st.booleans())
-    # the flag mostly matches the text's format
-    if dimacs != draw(RARELY):
-        flags.append(["--dimacs"])
+    if command == "check":  # one suite; check reads GraphFiles only
+        flags = [draw(st.sampled_from(COMMAND_FLAGS[command]))]
+        dimacs = draw(RARELY)
+    else:
+        flags = draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), max_size=3))
+        dimacs = draw(st.booleans())
+        # the flag mostly matches the text's format
+        if dimacs != draw(RARELY):
+            flags.append(["--dimacs"])
     if draw(RARELY):
         data = (f"p edge {HUGE_N} 0\n" if dimacs else f"{HUGE_N} 0\n").encode()
     else:
@@ -510,6 +522,23 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input"
 
 
+def _fuzz_manifest(fuzz_file: Path) -> Path:
+    """A manifest naming the fuzzed file, with its clique/matched split
+    when the file reads as a graph that has one, so that the partition
+    suites run their transforms too."""
+    entry: dict = {"file": fuzz_file.name}
+    try:
+        g = parse_graph_file(fuzz_file)
+        part = find_sat_partition(g.graph if isinstance(g, WeightedGraph) else g)
+    except ValueError:  # a malformed file, or past the search's 20 vertices
+        part = None
+    if part is not None:
+        entry["partition"] = {"A": sorted(part.a), "B": sorted(part.b)}
+    manifest = fuzz_file.with_name("manifest.json")
+    manifest.write_text(json.dumps({"graphs": [entry]}))
+    return manifest
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=cli_cases())
 @example(case=("tree", [], f"{HUGE_N} 0\n".encode()))
@@ -522,11 +551,17 @@ def test_exit_code_contract_on_mutated_inputs(fuzz_file, case):
     text = data.decode(errors="replace")
     assume(not any(_allocates(token) for token in _vertex_counts(text)))
     fuzz_file.write_bytes(data)
+    if command == "check":
+        target = ["--corpus", str(_fuzz_manifest(fuzz_file))]
+    else:
+        target = [str(fuzz_file)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main([command, str(fuzz_file), *flags])
+            code = main([command, *target, *flags])
         except SystemExit as stop:  # argparse rejects flag values this way
             code = stop.code
-    assert code in (0, 2, 3, 4, 5), err.getvalue()
+    # 1 is check's verdict that the graph failed its suite (say, it is outside the class)
+    allowed = (0, 1, 2, 3, 4, 5) if command == "check" else (0, 2, 3, 4, 5)
+    assert code in allowed, err.getvalue()
     assert "Traceback" not in err.getvalue()

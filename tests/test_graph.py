@@ -140,6 +140,17 @@ def test_disjoint_union():
     assert g.n == 4 and set(g.edges) == {(0, 1), (2, 3)}
 
 
+def test_mask_built_graphs_match_their_edge_definitions():
+    rng = random.Random(7)
+    for _ in range(30):
+        g, h = (Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+                for n in (rng.randint(0, 9), rng.randint(0, 9)))
+        pairs = {(u, v) for u in range(g.n) for v in range(u + 1, g.n)}
+        assert complement(g) == Graph(g.n, pairs - g.edges)
+        shifted = {(u + g.n, v + g.n) for u, v in h.edges}
+        assert disjoint_union(g, h) == Graph(g.n + h.n, g.edges | shifted)
+
+
 def test_set_precedes_examples():
     assert set_precedes(frozenset({0, 3}), frozenset({1, 2}))
     assert set_precedes(frozenset({1, 2}), frozenset({1, 3}))

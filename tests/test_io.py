@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widom.generators import gnp
+from widom.generators import gnp, sat_random
 from widom.graph import Graph, WeightedGraph
 from widom.io import (
     GraphFormatError,
@@ -15,7 +16,9 @@ from widom.io import (
     parse_dimacs,
     parse_graph,
     parse_partition_file,
+    read_text,
 )
+from widom.satgraph import star_transform
 
 
 def test_parse_minimal():
@@ -90,6 +93,51 @@ def test_emit_is_canonical():
     assert emit_graph(g) == "3 2\n0 1\n1 2\n"
     wg = WeightedGraph(g, (4, 5, 6))
     assert emit_graph(wg) == "3 2\n0 1\n1 2\nweights\n0 4\n1 5\n2 6\n"
+
+
+def _sorted_edge_text(g, meta=None):
+    """GraphFile text written off the sorted edge set."""
+    wg = g if isinstance(g, WeightedGraph) else None
+    base = wg.graph if wg else g
+    edges = sorted(base.edges)
+    lines = [f"{base.n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    if wg is not None:
+        lines += ["weights"] + [f"{v} {w}" for v, w in enumerate(wg.weights)]
+    if meta is not None:
+        lines.append("# meta " + json.dumps(meta, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def test_emit_matches_the_sorted_edge_text():
+    rng = random.Random(17)
+    graphs = [Graph(0), Graph(1), Graph(5)]
+    graphs += [gnp(rng.randint(0, 60), rng.random(), rng) for _ in range(40)]
+    g, part = sat_random(25, 25, 0.3, 5)
+    graphs.append(star_transform(g, part).graph)  # past 1,024 vertices: wide masks
+    assert graphs[-1].n > 1024
+    for g in graphs:
+        assert emit_graph(g) == _sorted_edge_text(g)
+        wg = WeightedGraph(g, tuple(rng.randint(-9, 99) for _ in range(g.n)))
+        meta = {"seed": 17, "n": g.n}
+        assert emit_graph(wg, meta=meta) == _sorted_edge_text(wg, meta=meta)
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"3 1\r0 1\r# caf\xe9\r", 3),
+    (b"3 1\r\n0 1\r\n\xff", 3),
+    (b"3 1\x0b0 1\x0b0 \x802\n", 3),
+    ("3 1\u20280 1\u2028# \u00e9\u2028".encode() + b"\xe9", 4),
+    (b"3 1\x1c0 1\x0c\n\x80", 4),
+    (b"\xff\n", 1),
+])
+def test_read_text_numbers_lines_as_the_parser_does(tmp_path, data, line):
+    p = tmp_path / "g.graph"
+    p.write_bytes(data)
+    with pytest.raises(GraphFormatError, match=f": line {line}: not UTF-8 text$"):
+        read_text(p)
+    # the line that holds the bad byte, as parse_graph numbers the text's lines
+    text = data.decode(errors="replace")
+    assert next(i for i, s in enumerate(text.splitlines(), 1) if "\ufffd" in s) == line
 
 
 def test_meta_round_trip():
