@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: solve, reduce, tree, recognize, check, gen.
-Results go to stdout as JSON (or GraphFile text for reduce/gen);
+Results go to stdout as one compact JSON record, written by
+``_emit_record`` (GraphFile text for reduce, DOT for tree --dot);
 diagnostics go to stderr.  Exit codes:
 
 0  ok
@@ -25,7 +26,7 @@ import sys
 import time
 from pathlib import Path
 
-from .decomposition import NotInClassError, build_tree, is_prime, tree_to_dot, tree_to_json_text
+from .decomposition import NotInClassError, build_tree, is_prime, tree_to_dot, tree_to_json
 from .generators import (
     GenerationBudgetError,
     gnp,
@@ -96,6 +97,7 @@ def _parse_demands(raw_lists, n: int) -> tuple[frozenset[int], ...]:
 
 
 def _emit_record(record: dict) -> None:
+    """Print ``record`` as one line of JSON, keys sorted."""
     print(json.dumps(record, sort_keys=True))
 
 
@@ -208,7 +210,7 @@ def _cmd_tree(args) -> int:
     if args.dot:
         sys.stdout.write(tree_to_dot(tree))
     else:
-        print(tree_to_json_text(tree))
+        _emit_record(tree_to_json(tree))
     return 0
 
 
@@ -393,7 +395,7 @@ def _cmd_gen(args) -> int:
         "graphs": entries,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    print(json.dumps({"command": "gen", "out": str(out_dir), "count": len(entries)}))
+    _emit_record({"command": "gen", "out": str(out_dir), "count": len(entries)})
     return 0
 
 

@@ -26,7 +26,6 @@ JSON text, is the one a full closure of every pair gives.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -338,7 +337,3 @@ def tree_to_dot(tree: DecompTree) -> str:
     emit(tree.root)
     lines.append("}")
     return "\n".join(lines)
-
-
-def tree_to_json_text(tree: DecompTree) -> str:
-    return json.dumps(tree_to_json(tree), indent=2, sort_keys=True)

@@ -96,36 +96,39 @@ def parse_graph(text: str) -> Graph | WeightedGraph:
 
 
 def parse_dimacs(text: str) -> Graph:
-    """DIMACS 'p edge n m' format, 1-indexed vertices, 'c' comments."""
-    n = head = None
-    edges = []
+    """DIMACS 'p edge n m' format, 1-indexed vertices, 'c' comments.  The masks
+    are allocated at the problem line and each edge line is ORed into them."""
+    adj = None
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         parts = line.split()
         if parts[0] == "p":
+            if adj is not None:
+                raise GraphFormatError(f"line {idx}: second problem line {line!r}")
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise GraphFormatError(f"line {idx}: bad problem line {line!r}")
             n, _ = _pair(idx, " ".join(parts[2:]), "integer counts in 'p edge n m'")
-            head = idx
+            if n < 0:
+                raise GraphFormatError(f"line {idx}: negative vertex count {n}")
+            try:
+                adj = [0] * n
+            except (OverflowError, MemoryError):
+                raise GraphFormatError(f"line {idx}: vertex count {n} is too large") from None
         elif parts[0] == "e":
-            if n is None:
+            if adj is None:
                 raise GraphFormatError(f"line {idx}: edge before problem line")
             u, v = _pair(idx, " ".join(parts[1:]), "edge 'e u v'")
             if not (0 < u <= n and 0 < v <= n) or u == v:
                 raise GraphFormatError(f"line {idx}: bad edge ({u},{v}) for n={n}")
-            edges.append((u - 1, v - 1))
+            adj[u - 1] |= 1 << v - 1
+            adj[v - 1] |= 1 << u - 1
         else:
             raise GraphFormatError(f"line {idx}: unrecognized line {line!r}")
-    if n is None:
+    if adj is None:
         raise GraphFormatError("missing DIMACS problem line")
-    try:
-        return Graph(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
-    except (OverflowError, MemoryError):
-        raise GraphFormatError(f"line {head}: vertex count {n} is too large") from None
+    return Graph.from_masks(adj)
 
 
 def read_text(path: str | Path) -> tuple[str, bytes]:

@@ -288,7 +288,6 @@ class NaiveReport:
 
 class _NSol(NamedTuple):
     value: int  # substituted weights, the naive value arithmetic
-    chosen: frozenset[int]  # vertices at the current level
     foot: frozenset[int]  # root vertices
 
 
@@ -298,18 +297,16 @@ def _naive(
     """The literal recurrence folded over ``node``'s subtree.
 
     A vertex stands for the solution in ``base``, its own, unless a
-    module substitution put its module's solution in ``attrs``.
+    module substitution put its module's solution in ``attrs``.  The
+    fold keeps only root vertices: a vertex outside a module sees all of
+    the module or none of it, and every module's solution is nonempty,
+    so v sees a solution's root vertices exactly when it sees the
+    vertices that stand for them.
     """
     kind, v = node.kind, node.rep
     if kind is NodeKind.HOMOGENEOUS:
         module, quotient = node.children
-        inner = _naive(module, attrs, adj, base)
-        outer = _naive(quotient, {**attrs, v: inner}, adj, base)
-        if v in outer.chosen:
-            chosen = (outer.chosen - {v}) | inner.chosen
-        else:
-            chosen = outer.chosen
-        return _NSol(outer.value, chosen, outer.foot)
+        return _naive(quotient, {**attrs, v: _naive(module, attrs, adj, base)}, adj, base)
     if kind is NodeKind.ANTINEIGHBORHOOD:
         # the literal two-term minimum at v, with the greedy witness patch
         keep_node, drop_node = node.children
@@ -317,18 +314,17 @@ def _naive(
         drop = _naive(drop_node, attrs, adj, base)
         if keep.value <= drop.value:
             return keep
-        if not any(adj[v] >> u & 1 for u in drop.chosen):
+        if not any(adj[v] >> u & 1 for u in drop.foot):
             # v ended up undominated; patch it in (independence is safe:
             # none of its neighbors were chosen), but keep the two-term value.
             a = attrs.get(v) or base[v]
-            return _NSol(drop.value, drop.chosen | {v}, drop.foot | a.foot)
+            return _NSol(drop.value, drop.foot | a.foot)
         return drop
     best: _NSol | None = None
     for cand in _leaf_candidates(adj, node.mask, kind):
         chosen = [attrs.get(u) or base[u] for u in bits(cand)]
         sol = _NSol(
             sum(a.value for a in chosen),
-            frozenset(bits(cand)),
             frozenset().union(*(a.foot for a in chosen)),
         )
         if best is None or sol.value < best.value or (
@@ -354,7 +350,7 @@ def solve_naive_eq1(wg: WeightedGraph, pin: int | None = None) -> NaiveReport:
         split = antineighborhood_split(g._adj, full, pin)
     else:
         raise ValueError(f"pin vertex {pin} out of range")
-    base = [_NSol(w, frozenset({v}), frozenset({v})) for v, w in enumerate(wg.weights)]
+    base = [_NSol(w, frozenset({v})) for v, w in enumerate(wg.weights)]
     sol = _naive(build_node(g, full, split), {}, g._adj, base)
     return NaiveReport(sol.value, sol.foot, g.is_maximal_independent(sol.foot))
 

@@ -230,10 +230,12 @@ def test_gen_deterministic(tmp_path, capsys):
 
 
 def test_gen_named(tmp_path, capsys):
-    code, _, _ = _run(
+    code, out, _ = _run(
         capsys, "gen", "--kind", "named", "--name", "domino", "--out", str(tmp_path / "d")
     )
     assert code == 0
+    rec = {"command": "gen", "out": str(tmp_path / "d"), "count": 1}
+    assert out == json.dumps(rec, sort_keys=True) + "\n"
     g = parse_graph((tmp_path / "d" / "g0000.graph").read_text())
     assert g == domino()
 
@@ -319,6 +321,8 @@ BAD_INPUTS = {
     ),
     "DIMACS edge out of range": (["solve", "{rangedimacs}", "--dimacs"], 2, "line 2: bad edge (3,4)"),
     "DIMACS self-loop": (["solve", "{loopdimacs}", "--dimacs"], 2, "line 3: bad edge (2,2)"),
+    "DIMACS second problem line": (["solve", "{twopdimacs}", "--dimacs"], 2, "line 3"),
+    "DIMACS negative vertex count": (["solve", "{negdimacs}", "--dimacs"], 2, "line 1"),
     "vertex count past an index": (["solve", "{huge}"], 2, "line 2: vertex count"),
     "DIMACS vertex count past an index": (
         ["solve", "{hugedimacs}", "--dimacs"], 2, "line 2: vertex count"
@@ -381,6 +385,8 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
     (tmp_path / "bad.dimacs").write_text("p edge x 3\ne 1 2\n")
     (tmp_path / "range.dimacs").write_text("p edge 3 1\ne 3 4\n")
     (tmp_path / "loop.dimacs").write_text("c self-loop\np edge 3 1\ne 2 2\n")
+    (tmp_path / "twop.dimacs").write_text("p edge 5 1\ne 4 5\np edge 3 1\n")
+    (tmp_path / "neg.dimacs").write_text("p edge -3 0\n")
     # n past an index; a large n that fits one would allocate gigabytes
     (tmp_path / "huge.graph").write_text("# 20-digit n\n99999999999999999999 0\n")
     (tmp_path / "huge.dimacs").write_text("c 20-digit n\np edge 99999999999999999999 0\n")
@@ -415,6 +421,7 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
             ("mem", "mem.graph"), ("memdimacs", "mem.dimacs"),
             ("deep", "deep.graph"), ("p3s", "p3s.graph"), ("p17json", "p17.json"),
             ("rangedimacs", "range.dimacs"), ("loopdimacs", "loop.dimacs"),
+            ("twopdimacs", "twop.dimacs"), ("negdimacs", "neg.dimacs"),
         )
     }
     try:

@@ -3,9 +3,10 @@ import random
 from dataclasses import fields
 
 import pytest
-from conftest import _split
+from conftest import _split, _threshold
 
 from widom import decomposition
+from widom.cli import main
 from widom.decomposition import (
     NodeKind,
     NotInClassError,
@@ -17,10 +18,10 @@ from widom.decomposition import (
     is_prime,
     tree_to_dot,
     tree_to_json,
-    tree_to_json_text,
 )
 from widom.generators import bull, complete, cycle, empty, gnp, path, star, sun3
 from widom.graph import Graph, bits, induced_subgraph, mask_of
+from widom.io import emit_graph
 from widom.solver import solve_id
 
 
@@ -178,16 +179,13 @@ def test_json_and_dot_outputs():
     data = tree_to_json(t)
     assert data["node_count"] == 5
     assert data["root"]["kind"] == "antineighborhood"
-    text = tree_to_json_text(t)
-    assert json.loads(text) == data
     dot = tree_to_dot(t)
     assert dot.startswith("digraph") and "antineighborhood" in dot
 
 
-# Exact tree_to_json_text (given compactly, re-indented by the test)
-# and tree_to_dot output.  In the inner nodes, vertices, module and rep
-# are root ids that differ from their positions within the node, so a
-# slip between the two shows.
+# Exact `widom tree` record and tree_to_dot output.  In the inner
+# nodes, vertices, module and rep are root ids that differ from their
+# positions within the node, so a slip between the two shows.
 GOLDEN = {
     "path4": (
         path(4),
@@ -224,11 +222,26 @@ GOLDEN = {
 }
 
 
+def _tree_stdout(g: Graph, tmp_path, capsys) -> str:
+    f = tmp_path / "g.graph"
+    f.write_text(emit_graph(g))
+    assert main(["tree", str(f)]) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("g, compact, dot", GOLDEN.values(), ids=GOLDEN.keys())
-def test_tree_text_golden(g, compact, dot):
-    t = build_tree(g)
-    assert tree_to_json_text(t) == json.dumps(json.loads(compact), indent=2, sort_keys=True)
-    assert tree_to_dot(t) == dot
+def test_tree_text_golden(g, compact, dot, tmp_path, capsys):
+    assert _tree_stdout(g, tmp_path, capsys) == compact + "\n"
+    assert tree_to_dot(build_tree(g)) == dot
+
+
+def test_tree_record_is_one_compact_line(tmp_path, capsys):
+    """The record of a tree about 200 levels deep is one line with no
+    indentation."""
+    g = _threshold(random.Random(200), 200)
+    out = _tree_stdout(g, tmp_path, capsys)
+    assert out == json.dumps(tree_to_json(build_tree(g)), sort_keys=True) + "\n"
+    assert len(out.encode()) < 1_000_000
 
 
 def test_tree_builds_no_per_node_graph(monkeypatch, family_graphs, c6_module):
