@@ -142,22 +142,20 @@ def sat_random(
     order, skipped whenever the A-vertex already sees the partner.
     """
     rng = random.Random(seed)
-    a = list(range(size_a))
     n = size_a + 2 * match_b
-    edges = [(u, v) for u in a for v in a if u < v]
-    pairs = [(size_a + 2 * i, size_a + 2 * i + 1) for i in range(match_b)]
-    edges.extend(pairs)
-    adjacency: set[tuple[int, int]] = set()
-    for u in a:
-        for x, y in pairs:
-            for b_vertex, partner in ((x, y), (y, x)):
-                if (u, partner) in adjacency:
+    adj = [(1 << size_a) - 1 ^ 1 << u for u in range(size_a)]
+    for x in range(size_a, n, 2):
+        adj += [1 << x + 1, 1 << x]
+    for u in range(size_a):
+        for x in range(size_a, n, 2):
+            for b_vertex, partner in ((x, x + 1), (x + 1, x)):
+                if adj[u] >> partner & 1:
                     continue
                 if rng.random() < p_ab:
-                    edges.append((u, b_vertex))
-                    adjacency.add((u, b_vertex))
-    g = Graph(n, edges)
-    part = sat_partition(g, a, range(size_a, n))
+                    adj[u] |= 1 << b_vertex
+                    adj[b_vertex] |= 1 << u
+    g = Graph.from_masks(adj)
+    part = sat_partition(g, range(size_a), range(size_a, n))
     return g, part
 
 
@@ -175,22 +173,19 @@ def substitute(host: Graph, slot: int, plug: Graph) -> Graph:
 def substitute_with_map(
     host: Graph, slot: int, plug: Graph
 ) -> tuple[Graph, tuple[int, ...], dict[int, int]]:
+    """``substitute``, plus the copy's ids and the host's old->new id map."""
     if not (0 <= slot < host.n):
         raise ValueError(f"slot {slot} out of range")
-    outer = [v for v in range(host.n) if v != slot]
-    outer_map = {old: i for i, old in enumerate(outer)}
     base = host.n - 1
-    copy_ids = tuple(range(base, base + plug.n))
-    edges = [
-        (outer_map[u], outer_map[v])
-        for (u, v) in host.edges
-        if u != slot and v != slot
-    ]
-    edges.extend((base + u, base + v) for (u, v) in plug.edges)
-    for u in host.neighborhood(slot):
-        for c in copy_ids:
-            edges.append((outer_map[u], c))
-    return Graph(base + plug.n, edges), copy_ids, outer_map
+    low, block = (1 << slot) - 1, (1 << plug.n) - 1 << base
+    # each host mask drops the slot bit (the bits above it move down one)
+    # and, where it held the slot, gains the copy's block; the slot's own
+    # mask holds no slot bit, so popping it gives the copy's outside neighbours
+    adj = [m & low | m >> slot + 1 << slot | (block if m >> slot & 1 else 0) for m in host._adj]
+    outside = adj.pop(slot)
+    adj += [m << base | outside for m in plug._adj]
+    outer_map = {old: old - (old > slot) for old in range(host.n) if old != slot}
+    return Graph.from_masks(adj), tuple(range(base, base + plug.n)), outer_map
 
 
 def graph_hash(g: Graph) -> str:

@@ -161,13 +161,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     if kept and not (0 <= kept[0] and kept[-1] < g.n):
         raise ValueError("vertex out of range")
     remap = {old: new for new, old in enumerate(kept)}
-    edges = [(remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap]
-    return Graph(len(kept), edges), remap
-
-
-def remove_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    drop = set(vertices)
-    return induced_subgraph(g, (v for v in range(g.n) if v not in drop))
+    keep = mask_of(kept)
+    adj = [mask_of(remap[u] for u in bits(g._adj[v] & keep)) for v in kept]
+    return Graph.from_masks(adj), remap
 
 
 def complement(g: Graph) -> Graph:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, WeightedGraph
+from .graph import Graph, WeightedGraph, bits, mask_of
 from .oracle import OracleBoundError, OracleReport, oracle_min_dominating, oracle_wid
 from .patterns import C3, C4, C5, C6, SUN3, Occurrence, find_induced
 from .satgraph import SatPartition, sat_partition, verify_sat_partition
@@ -36,28 +36,19 @@ def build_wid_reduction(source: Graph) -> WidReduction:
     only hold when the source has no cycles of length 3 through 6.
     """
     n = source.n
-    first = [3 * v for v in range(n)]
-    second = [3 * v + 1 for v in range(n)]
-    third = [3 * v + 2 for v in range(n)]
-    edges: list[tuple[int, int]] = []
+    clique = mask_of(range(2, 3 * n, 3))
+    adj = []
     for v in range(n):
-        edges.append((first[v], second[v]))
-        edges.append((second[v], third[v]))
-    for w, v in source.edges:
-        edges.append((second[w], third[v]))
-        edges.append((third[w], second[v]))
-    for w in range(n):
-        for v in range(w + 1, n):
-            edges.append((third[w], third[v]))
-    target = Graph(3 * n, edges)
-    weights = [0] * (3 * n)
-    for v in range(n):
-        weights[first[v]] = 1
-        weights[second[v]] = 2
-        weights[third[v]] = 2 * n
-    part = sat_partition(target, third, first + second)
-    layer = tuple((first[v], second[v], third[v]) for v in range(n))
-    return WidReduction(source, WeightedGraph(target, tuple(weights)), layer, part)
+        nbrs = list(bits(source.adj_bits(v)))
+        v1, v2, v3 = 3 * v, 3 * v + 1, 3 * v + 2
+        adj.append(1 << v2)
+        adj.append(1 << v1 | 1 << v3 | mask_of(3 * w + 2 for w in nbrs))
+        adj.append(clique ^ 1 << v3 | 1 << v2 | mask_of(3 * w + 1 for w in nbrs))
+    target = Graph.from_masks(adj)
+    weights = (1, 2, 2 * n) * n
+    part = sat_partition(target, range(2, 3 * n, 3), [u for u in range(3 * n) if u % 3 != 2])
+    layer = tuple((3 * v, 3 * v + 1, 3 * v + 2) for v in range(n))
+    return WidReduction(source, WeightedGraph(target, weights), layer, part)
 
 
 @dataclass(frozen=True)

@@ -97,8 +97,8 @@ def parse_graph(text: str) -> Graph | WeightedGraph:
 
 def parse_dimacs(text: str) -> Graph:
     """DIMACS 'p edge n m' format, 1-indexed vertices, 'c' comments.  The masks
-    are allocated at the problem line and each edge line is ORed into them."""
-    adj = None
+    are allocated at the problem line and each of the m edge lines is ORed into them."""
+    adj, found = None, 0
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -109,9 +109,11 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError(f"line {idx}: second problem line {line!r}")
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise GraphFormatError(f"line {idx}: bad problem line {line!r}")
-            n, _ = _pair(idx, " ".join(parts[2:]), "integer counts in 'p edge n m'")
+            n, m = _pair(idx, " ".join(parts[2:]), "integer counts in 'p edge n m'")
             if n < 0:
                 raise GraphFormatError(f"line {idx}: negative vertex count {n}")
+            if m < 0:
+                raise GraphFormatError(f"line {idx}: negative edge count {m}")
             try:
                 adj = [0] * n
             except (OverflowError, MemoryError):
@@ -124,10 +126,13 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError(f"line {idx}: bad edge ({u},{v}) for n={n}")
             adj[u - 1] |= 1 << v - 1
             adj[v - 1] |= 1 << u - 1
+            found += 1
         else:
             raise GraphFormatError(f"line {idx}: unrecognized line {line!r}")
     if adj is None:
         raise GraphFormatError("missing DIMACS problem line")
+    if found != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {found}")
     return Graph.from_masks(adj)
 
 

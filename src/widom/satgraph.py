@@ -5,8 +5,8 @@ matching ("B-edges"), such that no A-vertex sees both endpoints of one
 B-edge.  Each gamma step below rewires one A-B edge in a way that
 raises the independent domination number by exactly one; applied to
 every original A-B edge, the steps destroy all induced dominoes and
-3-suns.  One call runs its steps on one edge set, then builds the output
-graph and verifies its partition once.
+3-suns.  One call runs its steps on one list of adjacency masks, then
+builds the output graph and verifies its partition once.
 """
 
 from __future__ import annotations
@@ -138,21 +138,28 @@ class StarResult:
 
 def _apply_gamma(g: Graph, part: SatPartition, todo: list[tuple[int, int]]) -> StarResult:
     """Gamma on each (a, b) of ``todo`` in turn, step i adding vertices
-    n+3i, n+3i+1, n+3i+2: one edge set, one graph, one verification."""
-    edges, a_side, n, new_edges = set(g.edges), list(part.a), g.n, []
+    n+3i, n+3i+1, n+3i+2: one list of masks, one graph, one verification.
+
+    Every new A-vertex ends up seeing all of the final A, so the clique
+    rows are set once after the loop."""
+    adj, n, new_edges = list(g._adj), g.n, []
     for a, b in todo:
-        ab = (min(a, b), max(a, b))
-        if a not in part.a or b not in part.b or ab not in edges:
+        if a not in part.a or b not in part.b or not adj[a] >> b & 1:
             raise ValueError(f"({a},{b}) is not an A-B edge of the partition")
         v, x, y = n, n + 1, n + 2
-        edges.remove(ab)
-        edges.update((other, v) for other in a_side)
-        edges.update(((x, y), (b, v), (v, x), (a, y)))
-        a_side.append(v)
+        adj[a] ^= 1 << b | 1 << y
+        adj[b] ^= 1 << a | 1 << v
+        adj += [1 << b | 1 << x, 1 << v | 1 << y, 1 << x | 1 << a]
         new_edges.append((x, y))
         n += 3
-    markers = TransformMarkers(frozenset(a_side[len(part.a):]), tuple(new_edges))
-    g2 = Graph(n, edges)
+    markers = TransformMarkers(frozenset(range(g.n, n, 3)), tuple(new_edges))
+    alpha_new, a_side = mask_of(markers.alpha_new), part.a | markers.alpha_new
+    for u in part.a:
+        adj[u] |= alpha_new
+    clique = mask_of(a_side)
+    for v in markers.alpha_new:
+        adj[v] |= clique ^ 1 << v
+    g2 = Graph.from_masks(adj)
     part2 = sat_partition(g2, a_side, part.b | markers.beta_new)
     return StarResult(g2, part2, markers, tuple(todo))
 

@@ -323,6 +323,12 @@ BAD_INPUTS = {
     "DIMACS self-loop": (["solve", "{loopdimacs}", "--dimacs"], 2, "line 3: bad edge (2,2)"),
     "DIMACS second problem line": (["solve", "{twopdimacs}", "--dimacs"], 2, "line 3"),
     "DIMACS negative vertex count": (["solve", "{negdimacs}", "--dimacs"], 2, "line 1"),
+    "DIMACS negative edge count": (
+        ["solve", "{negmdimacs}", "--dimacs"], 2, "line 1: negative edge count -4"
+    ),
+    "DIMACS edge count past its edge lines": (
+        ["solve", "{shortdimacs}", "--dimacs"], 2, "expected 5 edge lines, found 1"
+    ),
     "vertex count past an index": (["solve", "{huge}"], 2, "line 2: vertex count"),
     "DIMACS vertex count past an index": (
         ["solve", "{hugedimacs}", "--dimacs"], 2, "line 2: vertex count"
@@ -387,6 +393,8 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
     (tmp_path / "loop.dimacs").write_text("c self-loop\np edge 3 1\ne 2 2\n")
     (tmp_path / "twop.dimacs").write_text("p edge 5 1\ne 4 5\np edge 3 1\n")
     (tmp_path / "neg.dimacs").write_text("p edge -3 0\n")
+    (tmp_path / "negm.dimacs").write_text("p edge 3 -4\ne 1 2\n")
+    (tmp_path / "short.dimacs").write_text("p edge 3 5\ne 1 2\n")
     # n past an index; a large n that fits one would allocate gigabytes
     (tmp_path / "huge.graph").write_text("# 20-digit n\n99999999999999999999 0\n")
     (tmp_path / "huge.dimacs").write_text("c 20-digit n\np edge 99999999999999999999 0\n")
@@ -422,6 +430,7 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
             ("deep", "deep.graph"), ("p3s", "p3s.graph"), ("p17json", "p17.json"),
             ("rangedimacs", "range.dimacs"), ("loopdimacs", "loop.dimacs"),
             ("twopdimacs", "twop.dimacs"), ("negdimacs", "neg.dimacs"),
+            ("negmdimacs", "negm.dimacs"), ("shortdimacs", "short.dimacs"),
         )
     }
     try:

@@ -174,6 +174,12 @@ def test_dimacs():
         parse_dimacs("")
     with pytest.raises(GraphFormatError, match="line 1"):
         parse_dimacs("p edge x 3\ne 1 2\n")
+    with pytest.raises(GraphFormatError, match="line 1: negative edge count -4"):
+        parse_dimacs("p edge 3 -4\ne 1 2\n")
+    with pytest.raises(GraphFormatError, match="expected 5 edge lines, found 1"):
+        parse_dimacs("p edge 3 5\ne 1 2\n")
+    with pytest.raises(GraphFormatError, match="expected 1 edge lines, found 2"):
+        parse_dimacs("p edge 3 1\ne 1 2\ne 2 3\n")
 
 
 def test_partition_file(tmp_path):

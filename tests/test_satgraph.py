@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -176,6 +177,19 @@ def test_star_verifies_its_partition_once(monkeypatch):
     res = star_transform(g, part)
     assert res.graph.n == g.n + 3 * k
     assert calls == [res.graph.n]
+
+
+def test_star_peaks_near_its_output_masks():
+    g, part = sat_random(60, 60, 0.3, 5)
+    tracemalloc.start()
+    try:
+        res = star_transform(g, part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 5,667 masks of 2.9 MB; one tuple per output edge would take about 160 MB
+    assert res.graph.n == 5667 and res.graph.edge_count() == 1_790_592
+    assert peak < 10_000_000
 
 
 def test_obs1_alignment_on_embedded_sun3():
