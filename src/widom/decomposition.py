@@ -12,8 +12,10 @@ takes the input graph and a bitmask of its vertex ids, so ``build_tree``
 and the naive mode walk subsets of the input without relabeling.  Its
 two halves, ``leaf_kind`` and ``nonleaf_split``, are shared with the
 sound solver, whose answer does not depend on how a mask splits: it
-splits first at its highest-degree vertex when that vertex is good and
-falls back to ``nonleaf_split`` otherwise.  Tree nodes hold root-id
+takes out isolated vertices, splits at its highest-degree vertex when
+that vertex is good, else into components or co-components (the n-ary
+PARALLEL and SERIES kinds, which the tree does not use), and falls back
+to ``nonleaf_split`` last.  Tree nodes hold root-id
 masks too, and the JSON and DOT writers read vertex lists and sizes
 straight off them.
 
@@ -159,6 +161,10 @@ class NodeKind(Enum):
     LEAF_F = "leaf_f"
     HOMOGENEOUS = "homogeneous"
     ANTINEIGHBORHOOD = "antineighborhood"
+    # n-ary splits into components and co-components; only the sound
+    # solver takes them, the tree's case chain does not
+    PARALLEL = "parallel"
+    SERIES = "series"
 
 
 def _raise_not_in_class(g: Graph, mask: int) -> None:
@@ -174,7 +180,9 @@ class Split(NamedTuple):
     """How a mask splits.  A leaf has no rep and no children.  A module M
     has rep h, its lowest vertex, and children (M, the quotient, which
     keeps h for all of M).  A good vertex v has rep v and children
-    (mask - N(v), mask - v)."""
+    (mask - N(v), mask - v).  A disconnected mask has no rep and its
+    components as children (PARALLEL); a mask whose complement is
+    disconnected has its co-components (SERIES)."""
 
     kind: NodeKind
     rep: int | None = None

@@ -16,10 +16,11 @@ def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order.
 
     Clearing the low bit copies the whole remaining integer, so past
-    1,024 bits the walk searches the reversed binary text instead, in
-    time linear in the mask's length.
+    1,024 bits a mask of more than 16 vertices is walked on its reversed
+    binary text instead, in time linear in the mask's length; a sparser
+    one (a small component at high ids) is cheaper bit by bit.
     """
-    if mask.bit_length() > 1024:
+    if mask.bit_length() > 1024 and mask.bit_count() > 16:
         text = bin(mask)[:1:-1]
         i = text.find("1")
         while i >= 0:

@@ -9,6 +9,9 @@ order.  The case analysis of the decomposition tree splits that query
 into smaller ones of the same form:
 
 * a leaf lists its few MIS and filters them;
+* the isolated vertices of a mask are in every MIS of it, so a state
+  that forbids one has no set, and otherwise adds them to each set of
+  the rest;
 * at a good vertex v, the MIS holding v are v plus a MIS of the
   antineighborhood X, and there are at most two of those; the rest are
   the MIS of G - v that meet N(v).  The MIS of G - v missing N(v) are
@@ -17,7 +20,13 @@ into smaller ones of the same form:
 * at a module M with representative h, a MIS either avoids M, and is
   then a MIS of the quotient with h forbidden, or is a MIS of M joined
   with a MIS of the quotient that avoids N(h), and so contains h; the
-  k best joins come from the two k-best lists.
+  k best joins come from the two k-best lists;
+* a disjoint union (PARALLEL) has as MIS the unions of one MIS per
+  component, so the components' k-best lists fold pairwise as a module
+  join does, and an empty one empties the result;
+* a join (SERIES) has as MIS the MIS of each co-component, since an
+  independent set lies in one of them and sees every vertex outside
+  it, so the co-components' lists merge.
 
 A set's rank orders by weight, then by ``set_precedes``, and adds up
 over disjoint unions, so a join's rank is the sum of its parts' ranks
@@ -27,14 +36,23 @@ MIS holds f exactly when it avoids N(f), so requiring f is forbidding
 N(f).  ``solve_constrained`` runs one top-1 query per way of picking a
 vertex from each demand, with the picked vertices' neighbors forbidden.
 The answer is the unique rank-minimum set, whichever split each mask
-takes, so the solver picks its own: ``_split`` runs the leaf test, then
-splits at the mask's highest-degree vertex when that vertex is good, and
-only otherwise takes ``decomposition.nonleaf_split``, the module search
-and smallest good vertex of the tree's ``classify_mask``.  A split
-graph is then one chain of good vertices.  The case, the representative
-and the two child masks depend only on the mask; ``_shape`` asks for
-them lazily, once per mask per solve, so masks that forbidden vertices
-prune away are never classified.
+takes, so the solver picks its own.  ``_split`` makes one degree pass
+over the mask and tries, in order:
+
+1. the leaf test on the whole mask;
+2. taking out the isolated vertices, and the leaf test on the rest;
+3. a split at the rest's highest-degree vertex, when that vertex is good;
+4. a PARALLEL split into the rest's components, when it is disconnected;
+5. a SERIES split into its co-components, when its complement is;
+6. ``decomposition.nonleaf_split``, the module search and smallest good
+   vertex of the tree's ``classify_mask``.
+
+A split graph is then one chain of good vertices, and a cograph splits
+a union or join of m parts at one node, not m - 1 module steps.  The
+isolated vertices, the case, the representative and the child masks
+depend only on the mask; ``_shape`` asks for them lazily, once per mask
+per solve, so masks that forbidden vertices prune away are never
+classified.  The tree (``build_tree``) keeps its binary case chain.
 
 ``solve_naive_eq1`` is the deliberately literal mode, a fold over the
 nodes of the decomposition tree: it evaluates the two-term
@@ -102,7 +120,7 @@ class _Ctx:
     def __init__(self, wg: WeightedGraph, stats: dict | None = None):
         self.graph = wg.graph
         self.adj = wg.graph._adj
-        self.shapes: dict[int, Split] = {}
+        self.shapes: dict[int, tuple] = {}
         self.memo: dict = {}
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("subproblems", 0)
@@ -111,27 +129,65 @@ class _Ctx:
         self.weights = wg.weights
 
 
-def _split(ctx: _Ctx, mask: int) -> Split:
-    """How the solver splits ``mask``: one pass over it gives each
-    vertex's degree inside it, hence the leaf test and the highest-degree
-    vertex v (the smallest such id).  When v is good, split there; else
-    take the tree's ``nonleaf_split``."""
+def _parts(adj: Sequence[int], mask: int, co: bool) -> list[int]:
+    """The components of the subgraph on ``mask`` (of its complement when
+    ``co``), lowest vertex first, each grown by frontier BFS on masks."""
+    parts = []
+    while mask:
+        reach = frontier = mask & -mask
+        while frontier:
+            grow = 0
+            for u in bits(frontier):
+                grow |= ~adj[u] if co else adj[u]
+            frontier = grow & mask & ~reach
+            reach |= frontier
+        parts.append(reach)
+        mask ^= reach
+    return parts
+
+
+def _split(ctx: _Ctx, mask: int) -> tuple:
+    """How the solver splits ``mask``: (lone, its rank, kind, rep,
+    children), ``lone`` being the mask's isolated vertices, which every
+    MIS holds, and the rest (kind, rep, children) the ``Split`` of the
+    mask without them.  A flat tuple, since a state reads it every time.
+
+    One pass over the mask gives each vertex's degree inside it, hence
+    the leaf test, ``lone`` and the highest-degree vertex v (the smallest
+    such id).  In order: a leaf mask is a leaf; else ``lone`` is taken
+    out and the rest is a leaf, or splits at v when v is good, or into
+    its components when it is disconnected, or into its co-components
+    when its complement is; else the rest takes the tree's
+    ``nonleaf_split``.
+    """
     adj = ctx.adj
-    top, top_degree, degree_sum = -1, -1, 0
+    top, top_degree, degree_sum, lone = -1, 0, 0, 0
     for u in bits(mask):
         d = (adj[u] & mask).bit_count()
-        degree_sum += d
         if d > top_degree:
             top, top_degree = u, d
+        elif not d:
+            lone |= 1 << u
+        degree_sum += d
     kind = leaf_kind(mask.bit_count(), degree_sum // 2)
     if kind:
-        return Split(kind)
-    if is_good_vertex(adj, mask, top):
-        return antineighborhood_split(adj, mask, top)
-    return nonleaf_split(ctx.graph, mask)
+        return (0, 0, kind, None, ())
+    rest = mask ^ lone
+    kind = leaf_kind(rest.bit_count(), degree_sum // 2) if lone else None
+    if kind:
+        split = Split(kind)
+    elif is_good_vertex(adj, rest, top):
+        split = antineighborhood_split(adj, rest, top)
+    elif len(parts := _parts(adj, rest, co=False)) > 1:
+        split = Split(NodeKind.PARALLEL, None, tuple(parts))
+    elif len(parts := _parts(adj, rest, co=True)) > 1:
+        split = Split(NodeKind.SERIES, None, tuple(parts))
+    else:
+        split = nonleaf_split(ctx.graph, rest)
+    return (lone, _rank(ctx, lone) if lone else 0, *split)
 
 
-def _shape(ctx: _Ctx, mask: int) -> Split:
+def _shape(ctx: _Ctx, mask: int) -> tuple:
     """``_split`` on ``mask``, computed once per solve."""
     shape = ctx.shapes.get(mask)
     if shape is None:
@@ -174,9 +230,14 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
     stats["subproblems"] += 1
     stats["max_k"] = max(stats["max_k"], k)
     adj = ctx.adj
-    kind, rep, children = _shape(ctx, mask)
+    lone, lone_rank, kind, rep, children = _shape(ctx, mask)
+    # every MIS holds the isolated vertices: answer for the rest, add them
+    mask ^= lone
 
-    if kind is NodeKind.HOMOGENEOUS:
+    if lone & forb:
+        out = []
+
+    elif kind is NodeKind.HOMOGENEOUS:
         module, quotient = children
         bh = 1 << rep
         # N(M) outside M: the same for every vertex of the module
@@ -216,10 +277,33 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
             rest = _topk(ctx, without_v, forb & ~bv, k + missing)
             out = sorted(out + [e for e in rest if e[1] & nv])[:k]
 
+    elif kind is NodeKind.PARALLEL:
+        # a MIS of a disjoint union is a MIS of each component, and ranks
+        # add up; fold the parts' lists pairwise as a module join does
+        out = [(0, 0)]
+        for part in children:
+            sub = _topk(ctx, part, forb & part, k)
+            out = sorted(
+                (ro + rs, mo | ms) for i, (ro, mo) in enumerate(out) for rs, ms in sub[: k // (i + 1)]
+            )[:k]
+            if not out:
+                break
+
+    elif kind is NodeKind.SERIES:
+        # an independent set of a join lies in one co-component, and a MIS
+        # of that co-component sees every vertex outside it; a loop, not a
+        # generator, keeps this at one stack frame per level
+        out = []
+        for part in children:
+            out += _topk(ctx, part, forb & part, k)
+        out = sorted(out)[:k]
+
     else:
         cands = _leaf_candidates(adj, mask, kind)
         out = _ranked(ctx, (c for c in cands if not c & forb))[:k]
 
+    if lone:
+        out = [(r + lone_rank, s | lone) for r, s in out]
     ctx.memo[state] = (k, out)
     return out
 

@@ -295,15 +295,34 @@ def test_parser_built_once_and_demands_do_not_leak(p4_file, capsys):
 DEEP_P3 = "1500 2\n1497 1498\n1498 1499\n"
 
 
+def _clique_less_an_edge(n: int) -> str:
+    """A GraphFile of K_n without the edge 0-1: a split graph whose every
+    vertex is good, so the solver splits off one vertex per level."""
+    lines = [f"{u} {v}\n" for u in range(n) for v in range(u + 1, n) if (u, v) != (0, 1)]
+    return f"{n} {len(lines)}\n" + "".join(lines)
+
+
 def test_deep_tree_input_solves_at_a_good_vertex(tmp_path, capsys):
     """The tree splits this input at one module per vertex, past the
-    recursion limit; the solver splits at the P3's middle vertex, whose
-    antineighborhood has no edge, and answers at depth 1."""
+    recursion limit; the solver takes out the isolated vertices, splits
+    at the P3's middle vertex, whose antineighborhood has no edge, and
+    answers at depth 1."""
     deep = tmp_path / "deep.graph"
     deep.write_text(DEEP_P3)
     code, out, err = _run(capsys, "solve", str(deep))
     assert code == 0, err
     assert _record(out)["value"] == 1498
+
+
+def test_disjoint_p3s_solve_as_one_parallel_split(tmp_path, capsys):
+    """1,000 disjoint P3s have no good vertex at the root; the solver
+    splits them into their components at one level and answers."""
+    p3s = tmp_path / "p3s.graph"
+    edges = "".join(f"{3 * i} {3 * i + 1}\n{3 * i + 1} {3 * i + 2}\n" for i in range(1000))
+    p3s.write_text(f"3000 2000\n{edges}")
+    code, out, err = _run(capsys, "solve", str(p3s))
+    assert code == 0, err
+    assert _record(out)["value"] == 1000
 
 
 # (argv, exit code, a fragment the message must contain)
@@ -351,9 +370,8 @@ BAD_INPUTS = {
     "sat search past its bound": (["recognize", "{e22}", "--cls", "sat"], 4, "n <= 20"),
     "thm1 source past its bound": (["check", "--suite", "thm1", "--corpus", "{p17json}"], 4, "n <= 16"),
     "obstruction inside a module": (["solve", "{c6}"], 3, "P5 at (3, 4, 5, 6, 7)"),
-    # cographs: one smallest-pair module step, and one recursion level, per
-    # vertex; disjoint P3s have no good vertex at any step of the solver
-    "solve deeper than the recursion limit": (["solve", "{p3s}"], 4, "recursion limit"),
+    # K_1000 less an edge: one good vertex, and one recursion level, per vertex
+    "solve deeper than the recursion limit": (["solve", "{chain}"], 4, "recursion limit"),
     "tree deeper than the recursion limit": (["tree", "{deep}"], 4, "recursion limit"),
     "check manifest not JSON": (
         ["check", "--suite", "solver", "--corpus", "{notjson}"], 2, "notjson.json: line 1"
@@ -406,8 +424,8 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
     (tmp_path / "p17.graph").write_text(emit_graph(path(17)))
     (tmp_path / "p17.json").write_text('{"graphs": [{"file": "p17.graph"}]}')
     (tmp_path / "deep.graph").write_text(DEEP_P3)
-    p3s = "".join(f"{3 * i} {3 * i + 1}\n{3 * i + 1} {3 * i + 2}\n" for i in range(1000))
-    (tmp_path / "p3s.graph").write_text(f"3000 2000\n{p3s}")
+    if "{chain}" in argv:  # half a million edge lines: written only when used
+        (tmp_path / "chain.graph").write_text(_clique_less_an_edge(1000))
     (tmp_path / "notjson.json").write_text("not json")
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "nofile.json").write_text('{"graphs": [{"file": "tri.graph"}, {"n": 3}]}')
@@ -427,7 +445,7 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
             ("partlistjson", "partlist.json"), ("partbjson", "partb.json"),
             ("huge", "huge.graph"), ("hugedimacs", "huge.dimacs"),
             ("mem", "mem.graph"), ("memdimacs", "mem.dimacs"),
-            ("deep", "deep.graph"), ("p3s", "p3s.graph"), ("p17json", "p17.json"),
+            ("deep", "deep.graph"), ("chain", "chain.graph"), ("p17json", "p17.json"),
             ("rangedimacs", "range.dimacs"), ("loopdimacs", "loop.dimacs"),
             ("twopdimacs", "twop.dimacs"), ("negdimacs", "neg.dimacs"),
             ("negmdimacs", "negm.dimacs"), ("shortdimacs", "short.dimacs"),

@@ -63,6 +63,12 @@ def test_solver_matches_split_reference(n):
     assert infeasible >= 1
 
 
+def _disjoint_p3s(rng: random.Random, n: int) -> wl.Inst:
+    """n / 3 disjoint unit-weighted P3s."""
+    edges = tuple(e for i in range(0, n, 3) for e in ((i, i + 1), (i + 1, i + 2)))
+    return wl.Inst(n, edges, (1,) * n)
+
+
 @pytest.mark.parametrize(
     "make, n, limit, max_k",
     [
@@ -70,8 +76,10 @@ def test_solver_matches_split_reference(n):
         (wl.split_graph, 40, 2000, None),
         (wl.split_graph, 80, 5000, None),
         (wl.split_graph, 400, 400 // 2 + 1, 1),
+        (wl.cograph, 1000, 800, None),
+        (_disjoint_p3s, 3000, 2 * 1000 + 1, 1),
     ],
-    ids=["threshold", "split", "split80", "split400"],
+    ids=["threshold", "split", "split80", "split400", "cograph1000", "p3s1000"],
 )
 def test_subproblem_count_guard(make, n, limit, max_k):
     """Ranked lists keep these families far from the exponential count
@@ -82,7 +90,11 @@ def test_subproblem_count_guard(make, n, limit, max_k):
     took with one.  Splitting at a good highest-degree vertex before any
     module search walks a split graph as one chain of good vertices,
     one state per mask with k = 1 (split n = 400 took 499,468 states
-    with module search first)."""
+    with module search first).  Splitting a union or a join into all its
+    components at once, and taking isolated vertices out in the same
+    step, keeps cograph n = 1,000 at 768 states (1,771 as a chain of
+    binary module splits) and 1,000 disjoint P3s at one state for the
+    root and two per P3 (past the recursion limit as module splits)."""
     inst = make(random.Random(n), n)
     stats: dict = {}
     solve_wid(WeightedGraph(Graph(inst.n, inst.edges), inst.weights), stats)

@@ -93,12 +93,14 @@ def test_mask_helpers():
 
 @pytest.mark.parametrize("length", [1, 63, 64, 1023, 1024, 1025, 1026, 5000])
 def test_bits_on_both_sides_of_the_text_walk(length):
-    """Masks past 1,024 bits are walked as text; every length lists the
-    same positions as a plain per-bit test."""
+    """Masks past 1,024 bits with more than 16 set bits are walked as
+    text; every length and density lists the same positions as a plain
+    per-bit test."""
     rng = random.Random(length)
     top = 1 << (length - 1)
-    for mask in (top, (top << 1) - 1, top | rng.getrandbits(length), top | 1):
-        assert list(bits(mask)) == [i for i in range(length) if mask >> i & 1]
+    sparse = (top | (1 << 15) - 1, top | (1 << 16) - 1)  # 16 and 17 set bits
+    for mask in (top, (top << 1) - 1, top | rng.getrandbits(length), top | 1, *sparse):
+        assert list(bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def test_independence_predicates():
