@@ -26,7 +26,9 @@ import sys
 import time
 from pathlib import Path
 
-from .decomposition import NotInClassError, build_tree, is_prime, tree_to_dot, tree_to_json
+from .decomposition import (
+    NotInClassError, build_tree, find_obstruction, is_prime, tree_to_dot, tree_to_json,
+)
 from .generators import (
     GenerationBudgetError,
     gnp,
@@ -51,7 +53,7 @@ from .io import (
 )
 from .oracle import OracleBoundError, oracle_constrained, oracle_id
 from .patterns import (
-    C4, C5, C6, CO_P5, DOMINO, P5, SUN3, find_antisimplicial, find_induced, is_c5, is_free,
+    C4, C5, C6, CO_P5, DOMINO, P5, SUN3, find_antisimplicial, find_induced, is_c5,
 )
 from .satgraph import (
     ab_edges,
@@ -225,7 +227,7 @@ def _cmd_recognize(args) -> int:
     base = _base(g)
     record: dict = {"command": "recognize", "cls": args.cls, "input_hash": digest}
     if args.cls == "p5cop5":
-        occ = find_induced(base, P5) or find_induced(base, CO_P5)
+        occ = find_obstruction(base)
         record["member"] = occ is None
         record["obstruction"] = _occ_json(occ)
     elif args.cls == "sat":
@@ -304,7 +306,7 @@ def _check_one(suite: str, entry, g: Graph | WeightedGraph) -> str | None:
             return f"target optimum {eq.idw_target.value} != n + {eq.gamma_dom.value}"
         return None
     if suite == "lemma6":
-        if not is_free(base, (P5, CO_P5)) or base.is_complete() or not is_prime(base):
+        if find_obstruction(base) is not None or base.is_complete() or not is_prime(base):
             return None
         if is_c5(base) or find_antisimplicial(base) is not None:
             return None

@@ -24,6 +24,21 @@ lexicographic pair order, that is a proper subset of the mask.
 ``find_module_mask`` cuts short only closures that would reach the
 whole mask, so that choice, and with it every tree label and the tree
 JSON text, is the one a full closure of every pair gives.
+
+``find_obstruction`` decides membership in the class on the same
+structure.  P5 and co-P5 are prime: a module of G meets an induced copy
+H in a module of H, which is then empty, one vertex or all of H.  So H
+lies inside a component, a co-component or a module M, or else meets M
+in at most one vertex and, with that vertex moved to M's representative
+(same neighbours outside M), lies in the quotient.  Components,
+co-components, modules and quotients are induced subgraphs too, so G
+holds a pattern exactly when one of the prime pieces this splitting
+ends in does.  A split piece holds neither: P5 contains 2K2, co-P5
+contains C4, and a split graph has no induced 2K2 or C4 (Hammer and
+Simeone, "The splittance of a graph", 1981).  Only the prime pieces
+that are not split are searched, and the whole graph only for a pattern
+some piece holds, so the obstruction is the one a search of the whole
+graph gives.
 """
 
 from __future__ import annotations
@@ -33,7 +48,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .graph import Graph, bits
-from .patterns import CO_P5, P5, Occurrence, induced_in_mask
+from .patterns import CO_P5, P5, Occurrence, find_induced, induced_in_mask
 
 
 class NotInClassError(Exception):
@@ -119,6 +134,34 @@ def find_module_mask(adj: Sequence[int], mask: int) -> int:
     return 0
 
 
+def components_mask(adj: Sequence[int], mask: int, co: bool = False) -> list[int]:
+    """The components of the subgraph on ``mask`` (of its complement when
+    ``co``), lowest vertex first, each grown by frontier BFS on masks."""
+    parts = []
+    while mask:
+        reach = frontier = mask & -mask
+        while frontier:
+            grow = 0
+            for u in bits(frontier):
+                grow |= ~adj[u] if co else adj[u]
+            frontier = grow & mask & ~reach
+            reach |= frontier
+        parts.append(reach)
+        mask ^= reach
+    return parts
+
+
+def is_split_mask(adj: Sequence[int], mask: int) -> bool:
+    """Whether the subgraph on ``mask`` splits into a clique and an
+    independent set, read off its degree sequence (Hammer and Simeone):
+    with degrees d_1 >= ... >= d_k and m the largest i with
+    d_i >= i - 1, it is split exactly when the first m degrees sum to
+    m(m - 1) plus the rest."""
+    degrees = sorted(((adj[v] & mask).bit_count() for v in bits(mask)), reverse=True)
+    m = sum(d >= i for i, d in enumerate(degrees))
+    return sum(degrees[:m]) == m * (m - 1) + sum(degrees[m:])
+
+
 def is_good_vertex(adj: Sequence[int], mask: int, v: int) -> bool:
     """Whether v's antineighborhood within mask has at most one edge."""
     return edge_count_within(adj, mask & ~adj[v], limit=1) <= 1
@@ -154,6 +197,40 @@ def find_good_vertex(g: Graph) -> int:
     if v < 0:
         _raise_not_in_class(g, g.full_bits)
     return v
+
+
+def find_obstruction(g: Graph) -> Occurrence | None:
+    """The first induced P5 of g in lexicographic order, else its first
+    induced co-P5; None exactly when g is in the class.
+
+    An explicit stack walks g's masks.  One of fewer than 5 vertices is
+    dropped, a disconnected or co-disconnected one pushes its parts, and
+    one with a module M pushes M and the quotient, which keeps M's lowest
+    vertex.  A prime one is kept unless it is split.  Each pattern is
+    looked for in the kept pieces, P5 first, and the whole graph is
+    searched only for one that a piece holds (see the module docstring
+    for why this is exact).
+    """
+    adj = g._adj
+    pieces = []
+    stack = [g.full_bits]
+    while stack:
+        mask = stack.pop()
+        if mask.bit_count() < 5:
+            continue
+        parts = components_mask(adj, mask)
+        if len(parts) == 1:
+            parts = components_mask(adj, mask, co=True)
+        if len(parts) > 1:
+            stack += parts
+        elif module := find_module_mask(adj, mask):
+            stack += (module, (mask & ~module) | (module & -module))
+        elif not is_split_mask(adj, mask):
+            pieces.append(mask)
+    for pat in (P5, CO_P5):
+        if any(next(induced_in_mask(adj, piece, pat), None) for piece in pieces):
+            return find_induced(g, pat)
+    return None
 
 
 class NodeKind(Enum):

@@ -7,6 +7,17 @@ each earlier pattern neighbour j of i and with its complement for each
 earlier non-neighbour, so partial assignments keep edges *and*
 non-edges.  Candidates are tried in increasing host id, so the first
 embedding is the lexicographically smallest witness tuple.
+
+The search over a whole graph is exhaustive when the pattern is absent,
+about n^4 steps for P5 on a split graph.  Class membership therefore
+does not start here: ``decomposition.find_obstruction`` cuts the graph
+at components, co-components and modules, which an induced P5 or co-P5
+(both prime) meets in one vertex or not at all unless it lies inside,
+and drops the prime pieces that are split graphs, which hold no 2K2 and
+no C4 and so neither pattern.  Only the rest go to ``induced_in_mask``,
+and ``find_induced`` runs on the whole graph only for a pattern known
+to be there, so its witness stays the record.  ``is_free`` and
+``find_induced`` are the tests' oracles for that walk.
 """
 
 from __future__ import annotations

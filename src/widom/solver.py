@@ -75,6 +75,7 @@ from .decomposition import (
     antineighborhood_split,
     build_node,
     classify_mask,
+    components_mask,
     is_good_vertex,
     leaf_kind,
     nonleaf_split,
@@ -129,23 +130,6 @@ class _Ctx:
         self.weights = wg.weights
 
 
-def _parts(adj: Sequence[int], mask: int, co: bool) -> list[int]:
-    """The components of the subgraph on ``mask`` (of its complement when
-    ``co``), lowest vertex first, each grown by frontier BFS on masks."""
-    parts = []
-    while mask:
-        reach = frontier = mask & -mask
-        while frontier:
-            grow = 0
-            for u in bits(frontier):
-                grow |= ~adj[u] if co else adj[u]
-            frontier = grow & mask & ~reach
-            reach |= frontier
-        parts.append(reach)
-        mask ^= reach
-    return parts
-
-
 def _split(ctx: _Ctx, mask: int) -> tuple:
     """How the solver splits ``mask``: (lone, its rank, kind, rep,
     children), ``lone`` being the mask's isolated vertices, which every
@@ -178,9 +162,9 @@ def _split(ctx: _Ctx, mask: int) -> tuple:
         split = Split(kind)
     elif is_good_vertex(adj, rest, top):
         split = antineighborhood_split(adj, rest, top)
-    elif len(parts := _parts(adj, rest, co=False)) > 1:
+    elif len(parts := components_mask(adj, rest)) > 1:
         split = Split(NodeKind.PARALLEL, None, tuple(parts))
-    elif len(parts := _parts(adj, rest, co=True)) > 1:
+    elif len(parts := components_mask(adj, rest, co=True)) > 1:
         split = Split(NodeKind.SERIES, None, tuple(parts))
     else:
         split = nonleaf_split(ctx.graph, rest)

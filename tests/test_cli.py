@@ -487,6 +487,17 @@ COMMAND_FLAGS = {
 }
 
 
+# gen reads no file: its flags get fuzzed values instead, some out of
+# range or not numbers, with n <= 10 and count <= 3 so each case is cheap
+GEN_VALUES = {
+    "--kind": ("named", "gnp", "sat", "substitution", "cotree", ""),
+    "--n": ("0", "1", "4", "10", "-1", "x"),
+    "--p": ("0", "0.3", "0.5", "1", "1.5", "-0.2", "nan", "x"),
+    "--count": ("0", "1", "3", "-2", "1.5"),
+    "--weights": ("0:5", "5:5", "-3:3", "5:0", "7", ":"),
+}
+
+
 def _graph_text(draw, dimacs: bool) -> bytes:
     """A GraphFile or DIMACS text on n <= 10 vertices, most of them
     intact, the rest with up to three spliced or cut spots."""
@@ -510,7 +521,16 @@ def _graph_text(draw, dimacs: bool) -> bytes:
 
 @st.composite
 def cli_cases(draw) -> tuple[str, list[str], bytes]:
-    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    command = draw(st.sampled_from(sorted([*COMMAND_FLAGS, "gen"])))
+    if command == "gen":  # --kind is required, so it is rarely left out
+        flags = [
+            [flag, draw(st.sampled_from(values))]
+            for flag, values in GEN_VALUES.items()
+            if (flag == "--kind" and not draw(RARELY)) or draw(st.booleans())
+        ]
+        if draw(st.booleans()):
+            flags.append(["--free"])
+        return command, [f for flag in flags for f in flag], b""
     if command == "check":  # one suite; check reads GraphFiles only
         flags = [draw(st.sampled_from(COMMAND_FLAGS[command]))]
         dimacs = draw(RARELY)
@@ -580,13 +600,15 @@ def _fuzz_manifest(fuzz_file: Path) -> Path:
 @example(case=("solve", ["--dimacs"], f"p edge {HUGE_N} 0\n".encode()))
 def test_exit_code_contract_on_mutated_inputs(fuzz_file, case):
     """Every input, however malformed, ends in a documented exit code
-    (0, 2, 3, 4 or 5), never in a traceback."""
+    (0, 2, 3, 4 or 5; gen 0 or 2), never in a traceback."""
     command, flags, data = case
     text = data.decode(errors="replace")
     assume(not any(_allocates(token) for token in _vertex_counts(text)))
     fuzz_file.write_bytes(data)
     if command == "check":
         target = ["--corpus", str(_fuzz_manifest(fuzz_file))]
+    elif command == "gen":
+        target = ["--out", str(fuzz_file.with_name("corpus"))]
     else:
         target = [str(fuzz_file)]
     out, err = io.StringIO(), io.StringIO()
@@ -596,6 +618,6 @@ def test_exit_code_contract_on_mutated_inputs(fuzz_file, case):
         except SystemExit as stop:  # argparse rejects flag values this way
             code = stop.code
     # 1 is check's verdict that the graph failed its suite (say, it is outside the class)
-    allowed = (0, 1, 2, 3, 4, 5) if command == "check" else (0, 2, 3, 4, 5)
+    allowed = {"check": (0, 1, 2, 3, 4, 5), "gen": (0, 2)}.get(command, (0, 2, 3, 4, 5))
     assert code in allowed, err.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -6,7 +6,8 @@ composed instead: substituting one (P5, co-P5)-free graph for a vertex
 of another keeps the class, because P5 and co-P5 are prime.  The pieces
 are C5, the bull, P4, K2, 2K1 and random split graphs, which have no
 2K2 and no C4 and so neither pattern.  The oracles enumerate every
-maximal independent set, which these sizes still allow.
+maximal independent set, which these sizes still allow.  The composer
+also reaches n = 2,000, where only the class test is run.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import reference as ref  # noqa: E402
-from widom.decomposition import build_tree, tree_to_json  # noqa: E402
+from widom.decomposition import build_tree, find_obstruction, tree_to_json  # noqa: E402
 from widom.generators import bull, complete, cycle, empty, path, substitute  # noqa: E402
-from widom.graph import Graph, WeightedGraph  # noqa: E402
+from widom.graph import Graph, WeightedGraph, bits, mask_of  # noqa: E402
 from widom.oracle import oracle_constrained, oracle_wid  # noqa: E402
 from widom.patterns import CO_P5, P5, is_free  # noqa: E402
 from widom.solver import solve_constrained, solve_naive_eq1, solve_wid  # noqa: E402
@@ -45,10 +46,10 @@ def _piece(rng: random.Random) -> Graph:
     return FIXED_PIECES[i] if i < len(FIXED_PIECES) else _split_piece(rng)
 
 
-def substituted_graph(rng: random.Random, lo: int = 30) -> Graph:
+def _composed(rng: random.Random, lo: int) -> tuple[Graph, list[int]]:
     """Substitute pieces into the graph, or the graph into a piece, until
-    it has at least ``lo`` vertices (at most lo + 10), then relabel it
-    by a random permutation."""
+    it has at least ``lo`` vertices (at most lo + 10); also draw a random
+    permutation of its ids."""
     g = _piece(rng)
     while g.n < lo:
         piece = _piece(rng)
@@ -58,7 +59,20 @@ def substituted_graph(rng: random.Random, lo: int = 30) -> Graph:
             g = substitute(piece, rng.randrange(piece.n), g)
     perm = list(range(g.n))
     rng.shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    return g, perm
+
+
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """g with vertex u renamed perm[u], each mask mapped bit by bit."""
+    adj = [0] * g.n
+    for u, nbrs in enumerate(g._adj):
+        adj[perm[u]] = mask_of(perm[v] for v in bits(nbrs))
+    return Graph.from_masks(adj)
+
+
+def substituted_graph(rng: random.Random, lo: int = 30) -> Graph:
+    """A composed graph of ``lo`` to lo + 10 vertices, randomly relabelled."""
+    return relabel(*_composed(rng, lo))
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +118,18 @@ def test_solver_matches_oracles_past_n_30(substituted_corpus):
             assert got_c is not None
             assert (got_c.weight, got_c.vertices) == (want_c.value, want_c.witness)
     assert 0 < infeasible < len(substituted_corpus)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3050])
+def test_mask_relabel_matches_the_edge_relabel(seed):
+    """The composer's graphs are the ones the edge-tuple relabel gave."""
+    rng = random.Random(seed)
+    g, perm = _composed(rng, 60 + seed % 7)
+    assert relabel(g, perm) == Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    assert substituted_graph(random.Random(seed), 60 + seed % 7) == relabel(g, perm)
+
+
+def test_composed_graph_of_two_thousand_vertices_is_a_member():
+    g = substituted_graph(random.Random(2000), lo=2000)
+    assert 2000 <= g.n <= 2010
+    assert find_obstruction(g) is None
