@@ -12,10 +12,11 @@ takes the input graph and a bitmask of its vertex ids, so ``build_tree``
 and the naive mode walk subsets of the input without relabeling.  Its
 two halves, ``leaf_kind`` and ``nonleaf_split``, are shared with the
 sound solver, whose answer does not depend on how a mask splits: it
-takes out isolated vertices, splits at its highest-degree vertex when
-that vertex is good, else into components or co-components (the n-ary
-PARALLEL and SERIES kinds, which the tree does not use), and falls back
-to ``nonleaf_split`` last.  Tree nodes hold root-id
+takes out isolated vertices, then universal vertices as one-vertex
+parts of a join, splits at its highest-degree vertex when that vertex
+is good, else into components or co-components (the n-ary PARALLEL and
+SERIES kinds, which the tree does not use), and falls back to
+``nonleaf_split`` last.  Tree nodes hold root-id
 masks too, and the JSON and DOT writers read vertex lists and sizes
 straight off them.
 
@@ -36,9 +37,13 @@ holds a pattern exactly when one of the prime pieces this splitting
 ends in does.  A split piece holds neither: P5 contains 2K2, co-P5
 contains C4, and a split graph has no induced 2K2 or C4 (Hammer and
 Simeone, "The splittance of a graph", 1981).  Only the prime pieces
-that are not split are searched, and the whole graph only for a pattern
-some piece holds, so the obstruction is the one a search of the whole
-graph gives.
+that are not split are searched, and the whole graph never is.  The
+representative is M's lowest vertex, so moving H's one vertex of M to
+it gives a copy that comes no later than H in lexicographic order.
+Hence some piece holds a copy no later than any copy H of G, and since
+``induced_in_mask`` yields in lexicographic order, the least of the
+pieces' first copies is G's first copy: the obstruction a search of the
+whole graph gives.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .graph import Graph, bits
-from .patterns import CO_P5, P5, Occurrence, find_induced, induced_in_mask
+from .patterns import CO_P5, P5, Occurrence, induced_in_mask
 
 
 class NotInClassError(Exception):
@@ -207,9 +212,9 @@ def find_obstruction(g: Graph) -> Occurrence | None:
     dropped, a disconnected or co-disconnected one pushes its parts, and
     one with a module M pushes M and the quotient, which keeps M's lowest
     vertex.  A prime one is kept unless it is split.  Each pattern is
-    looked for in the kept pieces, P5 first, and the whole graph is
-    searched only for one that a piece holds (see the module docstring
-    for why this is exact).
+    looked for in the kept pieces, P5 first, and the least of the
+    pieces' first occurrences is the whole graph's (see the module
+    docstring for why this is exact).
     """
     adj = g._adj
     pieces = []
@@ -228,8 +233,9 @@ def find_obstruction(g: Graph) -> Occurrence | None:
         elif not is_split_mask(adj, mask):
             pieces.append(mask)
     for pat in (P5, CO_P5):
-        if any(next(induced_in_mask(adj, piece, pat), None) for piece in pieces):
-            return find_induced(g, pat)
+        firsts = [hit for piece in pieces if (hit := next(induced_in_mask(adj, piece, pat), None))]
+        if firsts:
+            return Occurrence(pat.name, min(firsts))
     return None
 
 
@@ -259,7 +265,7 @@ class Split(NamedTuple):
     keeps h for all of M).  A good vertex v has rep v and children
     (mask - N(v), mask - v).  A disconnected mask has no rep and its
     components as children (PARALLEL); a mask whose complement is
-    disconnected has its co-components (SERIES)."""
+    disconnected has its co-components, or unions of them (SERIES)."""
 
     kind: NodeKind
     rep: int | None = None

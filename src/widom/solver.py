@@ -26,7 +26,8 @@ into smaller ones of the same form:
   join does, and an empty one empties the result;
 * a join (SERIES) has as MIS the MIS of each co-component, since an
   independent set lies in one of them and sees every vertex outside
-  it, so the co-components' lists merge.
+  it, so the co-components' lists merge.  A universal vertex u is a
+  co-component of its own, whose one MIS {u} costs no state.
 
 A set's rank orders by weight, then by ``set_precedes``, and adds up
 over disjoint unions, so a join's rank is the sum of its parts' ranks
@@ -41,14 +42,19 @@ over the mask and tries, in order:
 
 1. the leaf test on the whole mask;
 2. taking out the isolated vertices, and the leaf test on the rest;
-3. a split at the rest's highest-degree vertex, when that vertex is good;
-4. a PARALLEL split into the rest's components, when it is disconnected;
-5. a SERIES split into its co-components, when its complement is;
-6. ``decomposition.nonleaf_split``, the module search and smallest good
+3. a SERIES split of the rest into its universal vertices, one part
+   each, and the others, when the highest degree is one less than the
+   rest's size;
+4. a split at the rest's highest-degree vertex, when that vertex is good;
+5. a PARALLEL split into the rest's components, when it is disconnected;
+6. a SERIES split into its co-components, when its complement is;
+7. ``decomposition.nonleaf_split``, the module search and smallest good
    vertex of the tree's ``classify_mask``.
 
-A split graph is then one chain of good vertices, and a cograph splits
-a union or join of m parts at one node, not m - 1 module steps.  The
+A split graph is then one chain of good vertices, a cograph splits a
+union or join of m parts at one node, not m - 1 module steps, and a
+threshold graph, built by adding isolated or dominating vertices, sheds
+all its isolated or all its universal vertices at each state.  The
 isolated vertices, the case, the representative and the child masks
 depend only on the mask; ``_shape`` asks for them lazily, once per mask
 per solve, so masks that forbidden vertices prune away are never
@@ -137,21 +143,25 @@ def _split(ctx: _Ctx, mask: int) -> tuple:
     mask without them.  A flat tuple, since a state reads it every time.
 
     One pass over the mask gives each vertex's degree inside it, hence
-    the leaf test, ``lone`` and the highest-degree vertex v (the smallest
-    such id).  In order: a leaf mask is a leaf; else ``lone`` is taken
-    out and the rest is a leaf, or splits at v when v is good, or into
-    its components when it is disconnected, or into its co-components
-    when its complement is; else the rest takes the tree's
-    ``nonleaf_split``.
+    the leaf test, ``lone``, the highest-degree vertex v (the smallest
+    such id) and ``tops``, every vertex of that degree.  In order: a
+    leaf mask is a leaf; else ``lone`` is taken out and the rest is a
+    leaf, or, when ``tops`` sees all the rest, splits SERIES into one
+    part per vertex of ``tops`` and the rest less ``tops``, or splits at
+    v when v is good, or into its components when it is disconnected, or
+    into its co-components when its complement is; else the rest takes
+    the tree's ``nonleaf_split``.
     """
     adj = ctx.adj
-    top, top_degree, degree_sum, lone = -1, 0, 0, 0
+    top, top_degree, tops, degree_sum, lone = -1, 0, 0, 0, 0
     for u in bits(mask):
         d = (adj[u] & mask).bit_count()
         if d > top_degree:
-            top, top_degree = u, d
+            top, top_degree, tops = u, d, 1 << u
         elif not d:
             lone |= 1 << u
+        elif d == top_degree:
+            tops |= 1 << u
         degree_sum += d
     kind = leaf_kind(mask.bit_count(), degree_sum // 2)
     if kind:
@@ -160,6 +170,9 @@ def _split(ctx: _Ctx, mask: int) -> tuple:
     kind = leaf_kind(rest.bit_count(), degree_sum // 2) if lone else None
     if kind:
         split = Split(kind)
+    elif top_degree == rest.bit_count() - 1:
+        # rest is no clique, so rest - tops is not empty
+        split = Split(NodeKind.SERIES, None, (*(1 << u for u in bits(tops)), rest ^ tops))
     elif is_good_vertex(adj, rest, top):
         split = antineighborhood_split(adj, rest, top)
     elif len(parts := components_mask(adj, rest)) > 1:
@@ -279,7 +292,10 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
         # generator, keeps this at one stack frame per level
         out = []
         for part in children:
-            out += _topk(ctx, part, forb & part, k)
+            if part & (part - 1):
+                out += _topk(ctx, part, forb & part, k)
+            elif not part & forb:  # {u}, u's only MIS, costs no state
+                out.append((_rank(ctx, part), part))
         out = sorted(out)[:k]
 
     else:

@@ -296,10 +296,37 @@ DEEP_P3 = "1500 2\n1497 1498\n1498 1499\n"
 
 
 def _clique_less_an_edge(n: int) -> str:
-    """A GraphFile of K_n without the edge 0-1: a split graph whose every
-    vertex is good, so the solver splits off one vertex per level."""
+    """A GraphFile of K_n without the edge 0-1: every vertex but 0 and 1
+    sees all the others."""
     lines = [f"{u} {v}\n" for u in range(n) for v in range(u + 1, n) if (u, v) != (0, 1)]
     return f"{n} {len(lines)}\n" + "".join(lines)
+
+
+def _p3_chain(levels: int) -> str:
+    """A GraphFile of a cograph nested ``levels`` deep: each level puts a
+    P3 beside everything before it, then adds a vertex that sees all of
+    that.  The solver takes the vertex out as a SERIES part, then splits
+    the rest into its two components, one recursion level each, since the
+    next such vertex is not good: its antineighbourhood holds the P3."""
+    edges, below = [], []
+    for j in range(0, 4 * levels, 4):
+        edges += [(j, j + 1), (j + 1, j + 2)]
+        below += [j, j + 1, j + 2]
+        edges += [(u, j + 3) for u in below]
+        below.append(j + 3)
+    return f"{4 * levels} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def test_clique_less_an_edge_solves_as_one_series_split(tmp_path, capsys):
+    """K_1000 less the edge 0-1 was a chain of about 1,000 good vertices,
+    past the recursion limit; the solver takes out its 998 universal
+    vertices at once and answers at depth 2."""
+    chain = tmp_path / "chain.graph"
+    chain.write_text(_clique_less_an_edge(1000))
+    code, out, err = _run(capsys, "solve", str(chain))
+    assert code == 0, err
+    rec = _record(out)
+    assert rec["value"] == 1 and rec["witness"] == [2]
 
 
 def test_deep_tree_input_solves_at_a_good_vertex(tmp_path, capsys):
@@ -370,7 +397,8 @@ BAD_INPUTS = {
     "sat search past its bound": (["recognize", "{e22}", "--cls", "sat"], 4, "n <= 20"),
     "thm1 source past its bound": (["check", "--suite", "thm1", "--corpus", "{p17json}"], 4, "n <= 16"),
     "obstruction inside a module": (["solve", "{c6}"], 3, "P5 at (3, 4, 5, 6, 7)"),
-    # K_1000 less an edge: one good vertex, and one recursion level, per vertex
+    # 500 levels of a P3 and a vertex that sees all below: two recursion
+    # levels per level (exit 0 at 490 levels in a fresh interpreter)
     "solve deeper than the recursion limit": (["solve", "{chain}"], 4, "recursion limit"),
     "tree deeper than the recursion limit": (["tree", "{deep}"], 4, "recursion limit"),
     "check manifest not JSON": (
@@ -425,7 +453,7 @@ def test_bad_input_exit_codes(case, tmp_path, capsys, c6_module):
     (tmp_path / "p17.json").write_text('{"graphs": [{"file": "p17.graph"}]}')
     (tmp_path / "deep.graph").write_text(DEEP_P3)
     if "{chain}" in argv:  # half a million edge lines: written only when used
-        (tmp_path / "chain.graph").write_text(_clique_less_an_edge(1000))
+        (tmp_path / "chain.graph").write_text(_p3_chain(500))
     (tmp_path / "notjson.json").write_text("not json")
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "nofile.json").write_text('{"graphs": [{"file": "tri.graph"}, {"n": 3}]}')

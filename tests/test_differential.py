@@ -69,6 +69,12 @@ def _disjoint_p3s(rng: random.Random, n: int) -> wl.Inst:
     return wl.Inst(n, edges, (1,) * n)
 
 
+def _clique_less_an_edge(rng: random.Random, n: int) -> wl.Inst:
+    """K_n without the edge 0-1, unit-weighted."""
+    edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) != (0, 1))
+    return wl.Inst(n, edges, (1,) * n)
+
+
 @pytest.mark.parametrize(
     "make, n, limit, max_k",
     [
@@ -78,8 +84,11 @@ def _disjoint_p3s(rng: random.Random, n: int) -> wl.Inst:
         (wl.split_graph, 400, 400 // 2 + 1, 1),
         (wl.cograph, 1000, 800, None),
         (_disjoint_p3s, 3000, 2 * 1000 + 1, 1),
+        (wl.threshold_graph, 400, 100, None),
+        (_clique_less_an_edge, 1000, 2, 1),
     ],
-    ids=["threshold", "split", "split80", "split400", "cograph1000", "p3s1000"],
+    ids=["threshold", "split", "split80", "split400", "cograph1000", "p3s1000", "threshold400",
+         "clique1000"],
 )
 def test_subproblem_count_guard(make, n, limit, max_k):
     """Ranked lists keep these families far from the exponential count
@@ -94,7 +103,11 @@ def test_subproblem_count_guard(make, n, limit, max_k):
     components at once, and taking isolated vertices out in the same
     step, keeps cograph n = 1,000 at 768 states (1,771 as a chain of
     binary module splits) and 1,000 disjoint P3s at one state for the
-    root and two per P3 (past the recursion limit as module splits)."""
+    root and two per P3 (past the recursion limit as module splits).
+    Taking a mask's universal vertices out at once, as one-vertex SERIES
+    parts that cost no state, keeps threshold n = 400 at 97 states (175
+    with one good-vertex state per dominating vertex) and K_1000 less an
+    edge at two, the root and {0, 1} (a chain of 1,000 before)."""
     inst = make(random.Random(n), n)
     stats: dict = {}
     solve_wid(WeightedGraph(Graph(inst.n, inst.edges), inst.weights), stats)

@@ -12,6 +12,7 @@ from widom.graph import Graph, WeightedGraph, complement, disjoint_union, unit_w
 from widom import solver
 from widom.oracle import oracle_constrained, oracle_wid
 from widom.patterns import CO_P5, P5, is_free
+from test_recognition import _threshold_masks
 from widom.solver import (
     eq1_literal,
     solve_constrained,
@@ -232,6 +233,76 @@ def test_unions_and_joins_match_oracle_or_name_an_obstruction(family_graphs, mon
                 assert got is not None and (got.weight, got.vertices) == (want.value, want.witness)
     assert answered >= 1000 and refused >= 50, (answered, refused)
     assert seen[NodeKind.PARALLEL] and seen[NodeKind.SERIES] and seen["lone"], seen
+
+
+def _with_universal_vertices(rng: random.Random, small: list[Graph]) -> Graph:
+    """A graph with universal vertices, on at most 20 vertices: one to
+    three single vertices joined onto a family graph or a gnp part, some
+    with isolated vertices or a gnp part put beside it first; or a
+    threshold graph; or K_n less a matching."""
+    how = rng.randrange(4)
+    if how < 2:
+        g = rng.choice(small) if how else gnp(rng.randint(1, 12), rng.random(), rng)
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.3:
+                g = disjoint_union(g, Graph(rng.randint(1, 2)))
+            elif rng.random() < 0.2:
+                g = disjoint_union(g, gnp(rng.randint(2, 3), 0.7, rng))
+            g = _join(g, Graph(1))
+    elif how == 2:
+        g = _threshold_masks(rng, rng.randint(2, 16))
+    else:
+        n = rng.randint(3, 16)
+        ends = rng.sample(range(n), 2 * rng.randint(1, n // 2))
+        g = complement(Graph(n, list(zip(ends[::2], ends[1::2]))))
+    perm = rng.sample(range(g.n), g.n)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_universal_vertex_peel_matches_oracle_or_names_an_obstruction(family_graphs, monkeypatch):
+    """Seeded graphs with universal vertices, under demands that require
+    one (a demand inside the universal vertices) or forbid them all (a
+    demand outside them, whose vertex sees every universal one).  An
+    answer is the oracle's value and witness, and a refusal names an
+    induced P5 or co-P5 of the input.  The solver must have taken
+    universal vertices out as one-vertex SERIES parts."""
+    peels = 0
+    split = solver._split
+
+    def counted(ctx, mask):
+        nonlocal peels
+        shape = _, _, kind, _, children = split(ctx, mask)
+        peels += kind is NodeKind.SERIES and any(not c & (c - 1) for c in children)
+        return shape
+
+    monkeypatch.setattr(solver, "_split", counted)
+    rng = random.Random(2525)
+    small = [g for g in family_graphs if g.n <= 12]
+    answered = refused = 0
+    for _ in range(300):
+        g = _with_universal_vertices(rng, small)
+        wg = WeightedGraph(g, tuple(rng.randint(0, 20) for _ in range(g.n)))
+        universal = [u for u in range(g.n) if g._adj[u].bit_count() == g.n - 1]
+        others = [u for u in range(g.n) if u not in universal]
+        cases = [(), [rng.sample(range(g.n), rng.randint(1, min(3, g.n)))]]
+        if universal:
+            cases.append([rng.sample(universal, rng.randint(1, len(universal)))])
+        if others:
+            cases.append([rng.sample(others, rng.randint(1, min(2, len(others))))])
+        for ds in cases:
+            try:
+                got = solve_constrained(wg, ds)
+            except NotInClassError as err:
+                refused += 1
+                _assert_names_an_obstruction(g, err)
+                continue
+            answered += 1
+            want = oracle_constrained(wg, [frozenset(d) for d in ds])
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and (got.weight, got.vertices) == (want.value, want.witness)
+    assert answered >= 800 and refused >= 20 and peels >= 50, (answered, refused, peels)
 
 
 # ---------------------------------------------------------------------------
