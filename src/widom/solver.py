@@ -27,7 +27,8 @@ into smaller ones of the same form:
 * a join (SERIES) has as MIS the MIS of each co-component, since an
   independent set lies in one of them and sees every vertex outside
   it, so the co-components' lists merge.  A universal vertex u is a
-  co-component of its own, whose one MIS {u} costs no state.
+  co-component of its own, whose one MIS {u} costs no state, and a
+  co-component whose every vertex is forbidden has no MIS to merge.
 
 A set's rank orders by weight, then by ``set_precedes``, and adds up
 over disjoint unions, so a join's rank is the sum of its parts' ranks
@@ -289,12 +290,15 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
     elif kind is NodeKind.SERIES:
         # an independent set of a join lies in one co-component, and a MIS
         # of that co-component sees every vertex outside it; a loop, not a
-        # generator, keeps this at one stack frame per level
+        # generator, keeps this at one stack frame per level; a part that
+        # is wholly forbidden has no MIS and is not walked
         out = []
         for part in children:
+            if not part & ~forb:
+                continue
             if part & (part - 1):
                 out += _topk(ctx, part, forb & part, k)
-            elif not part & forb:  # {u}, u's only MIS, costs no state
+            else:  # {u}, u's only MIS, costs no state
                 out.append((_rank(ctx, part), part))
         out = sorted(out)[:k]
 

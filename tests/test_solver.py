@@ -12,7 +12,7 @@ from widom.graph import Graph, WeightedGraph, complement, disjoint_union, unit_w
 from widom import solver
 from widom.oracle import oracle_constrained, oracle_wid
 from widom.patterns import CO_P5, P5, is_free
-from test_recognition import _threshold_masks
+from conftest import _threshold
 from widom.solver import (
     eq1_literal,
     solve_constrained,
@@ -250,7 +250,7 @@ def _with_universal_vertices(rng: random.Random, small: list[Graph]) -> Graph:
                 g = disjoint_union(g, gnp(rng.randint(2, 3), 0.7, rng))
             g = _join(g, Graph(1))
     elif how == 2:
-        g = _threshold_masks(rng, rng.randint(2, 16))
+        g = _threshold(rng, rng.randint(2, 16))
     else:
         n = rng.randint(3, 16)
         ends = rng.sample(range(n), 2 * rng.randint(1, n // 2))
@@ -264,8 +264,11 @@ def test_universal_vertex_peel_matches_oracle_or_names_an_obstruction(family_gra
     one (a demand inside the universal vertices) or forbid them all (a
     demand outside them, whose vertex sees every universal one).  An
     answer is the oracle's value and witness, and a refusal names an
-    induced P5 or co-P5 of the input.  The solver must have taken
-    universal vertices out as one-vertex SERIES parts."""
+    induced P5 or co-P5 of the input.  A demand inside the universal
+    vertices is always answered, whatever the rest of the graph is: the
+    one-vertex sets are its only MIS, and a good-vertex split at each
+    universal vertex answers it without walking the rest.  The solver
+    must have taken universal vertices out as one-vertex SERIES parts."""
     peels = 0
     split = solver._split
 
@@ -293,6 +296,7 @@ def test_universal_vertex_peel_matches_oracle_or_names_an_obstruction(family_gra
             try:
                 got = solve_constrained(wg, ds)
             except NotInClassError as err:
+                assert not (ds and set(ds[0]) <= set(universal)), (g.edges, ds, err)
                 refused += 1
                 _assert_names_an_obstruction(g, err)
                 continue
@@ -303,6 +307,22 @@ def test_universal_vertex_peel_matches_oracle_or_names_an_obstruction(family_gra
             else:
                 assert got is not None and (got.weight, got.vertices) == (want.value, want.witness)
     assert answered >= 800 and refused >= 20 and peels >= 50, (answered, refused, peels)
+
+
+def test_wholly_forbidden_series_part_is_not_walked():
+    """A SERIES part whose every vertex is forbidden has no MIS, so the
+    prime C6, which has no good vertex, is never walked when a demand
+    forbids all of it.  C6 joined with one vertex u, under [[u]]: the
+    answer is {u}, as the good-vertex split at u gives when all of N(u)
+    is forbidden.  C6 joined with three disjoint edges, under [[0]]: the
+    set lies in the three edges, a join's co-components."""
+    for g, u in ((_join(cycle(6), Graph(1)), 6), (_join(Graph(6, [(0, 1), (2, 3), (4, 5)]), cycle(6)), 0)):
+        wg = unit_weights(g)
+        got = solve_constrained(wg, [[u]])
+        want = oracle_constrained(wg, [frozenset({u})])
+        assert got is not None and (got.weight, got.vertices) == (want.value, want.witness)
+        with pytest.raises(NotInClassError):
+            solve_wid(wg)
 
 
 # ---------------------------------------------------------------------------
