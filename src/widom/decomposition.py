@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import ge
 from typing import NamedTuple, Sequence
 
 from .graph import Graph, bits
@@ -156,15 +157,31 @@ def components_mask(adj: Sequence[int], mask: int, co: bool = False) -> list[int
     return parts
 
 
+def split_clique(mask: int, degrees: Sequence[int], degree_sum: int) -> int | None:
+    """A clique K of the subgraph on ``mask`` whose other vertices are
+    independent, read off its degrees (in ``bits`` order, summing to
+    ``degree_sum``), or None when it is not split.
+
+    Hammer and Simeone: with degrees d_1 >= ... >= d_k and m the largest
+    i with d_i >= i - 1, it is split exactly when the first m degrees
+    sum to m(m - 1) plus the rest.  The sum over any m vertices is at
+    most m(m - 1) plus the edges leaving them, which the others' degrees
+    bound, so the bound is tight for any m vertices of highest degree:
+    they are K.  Isolated vertices have degree 0 and stay out of K
+    unless the mask has no edge.
+    """
+    ordered = sorted(degrees, reverse=True)
+    m = sum(map(ge, ordered, range(len(ordered))))
+    if 2 * sum(ordered[:m]) != m * (m - 1) + degree_sum:
+        return None
+    return sum(1 << v for _, v in sorted(zip(degrees, bits(mask)), reverse=True)[:m])
+
+
 def is_split_mask(adj: Sequence[int], mask: int) -> bool:
     """Whether the subgraph on ``mask`` splits into a clique and an
-    independent set, read off its degree sequence (Hammer and Simeone):
-    with degrees d_1 >= ... >= d_k and m the largest i with
-    d_i >= i - 1, it is split exactly when the first m degrees sum to
-    m(m - 1) plus the rest."""
-    degrees = sorted(((adj[v] & mask).bit_count() for v in bits(mask)), reverse=True)
-    m = sum(d >= i for i, d in enumerate(degrees))
-    return sum(degrees[:m]) == m * (m - 1) + sum(degrees[m:])
+    independent set (``split_clique``)."""
+    degrees = [(adj[v] & mask).bit_count() for v in bits(mask)]
+    return split_clique(mask, degrees, sum(degrees)) is not None
 
 
 def is_good_vertex(adj: Sequence[int], mask: int, v: int) -> bool:

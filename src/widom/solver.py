@@ -8,7 +8,10 @@ sets (MIS) of the subgraph on ``mask`` that avoid ``forb``, in rank
 order.  The case analysis of the decomposition tree splits that query
 into smaller ones of the same form:
 
-* a leaf lists its few MIS and filters them;
+* a leaf lists its few MIS and filters them; a split mask, a clique K
+  and an independent set I, is a leaf too: a MIS holds at most one
+  vertex k of K, and is then {k} + (I - N(k)), or it is I, when every
+  vertex of K has a neighbor in I, so there are at most |K| + 1;
 * the isolated vertices of a mask are in every MIS of it, so a state
   that forbids one has no set, and otherwise adds them to each set of
   the rest;
@@ -26,9 +29,8 @@ into smaller ones of the same form:
   join does, and an empty one empties the result;
 * a join (SERIES) has as MIS the MIS of each co-component, since an
   independent set lies in one of them and sees every vertex outside
-  it, so the co-components' lists merge.  A universal vertex u is a
-  co-component of its own, whose one MIS {u} costs no state, and a
-  co-component whose every vertex is forbidden has no MIS to merge.
+  it, so the co-components' lists merge; a co-component whose every
+  vertex is forbidden has no MIS to merge.
 
 A set's rank orders by weight, then by ``set_precedes``, and adds up
 over disjoint unions, so a join's rank is the sum of its parts' ranks
@@ -43,23 +45,24 @@ over the mask and tries, in order:
 
 1. the leaf test on the whole mask;
 2. taking out the isolated vertices, and the leaf test on the rest;
-3. a SERIES split of the rest into its universal vertices, one part
-   each, and the others, when the highest degree is one less than the
-   rest's size;
-4. a split at the rest's highest-degree vertex, when that vertex is good;
-5. a PARALLEL split into the rest's components, when it is disconnected;
-6. a SERIES split into its co-components, when its complement is;
-7. ``decomposition.nonleaf_split``, the module search and smallest good
+3. when the rest's highest-degree vertex is good, a split leaf if no
+   edge joins two of its non-neighbors and the degrees pass the split
+   test (Hammer and Simeone), else a split at that vertex;
+4. a PARALLEL split into the rest's components, when it is disconnected;
+5. a SERIES split into its co-components, when its complement is;
+6. ``decomposition.nonleaf_split``, the module search and smallest good
    vertex of the tree's ``classify_mask``.
 
-A split graph is then one chain of good vertices, a cograph splits a
-union or join of m parts at one node, not m - 1 module steps, and a
-threshold graph, built by adding isolated or dominating vertices, sheds
-all its isolated or all its universal vertices at each state.  The
-isolated vertices, the case, the representative and the child masks
-depend only on the mask; ``_shape`` asks for them lazily, once per mask
-per solve, so masks that forbidden vertices prune away are never
-classified.  The tree (``build_tree``) keeps its binary case chain.
+A split graph, and so a threshold graph, is then one state, and a
+cograph splits a union or join of m parts at one node, not m - 1
+module steps.  A split mask always reaches the split test: its
+highest-degree vertex lies in a clique K of highest-degree vertices, so
+its non-neighbors lie in I, with no edge between them.  Other masks
+skip the test's sort.  The isolated vertices, the case, the
+representative and the child masks depend only on the mask; ``_shape``
+asks for them lazily, once per mask per solve, so masks that forbidden
+vertices prune away are never classified.  The tree (``build_tree``)
+keeps its binary case chain and its two leaf kinds.
 
 ``solve_naive_eq1`` is the deliberately literal mode, a fold over the
 nodes of the decomposition tree: it evaluates the two-term
@@ -83,11 +86,16 @@ from .decomposition import (
     build_node,
     classify_mask,
     components_mask,
-    is_good_vertex,
+    edge_count_within,
     leaf_kind,
     nonleaf_split,
+    split_clique,
 )
 from .graph import Graph, WeightedGraph, bits, demand_masks, set_precedes, unit_weights
+
+# The sound solver's own leaf kind: a split mask, with children (K, I),
+# a clique and an independent set.  The tree never takes it.
+SPLIT_LEAF = "split_leaf"
 
 
 @dataclass(frozen=True)
@@ -141,41 +149,43 @@ def _split(ctx: _Ctx, mask: int) -> tuple:
     """How the solver splits ``mask``: (lone, its rank, kind, rep,
     children), ``lone`` being the mask's isolated vertices, which every
     MIS holds, and the rest (kind, rep, children) the ``Split`` of the
-    mask without them.  A flat tuple, since a state reads it every time.
+    mask without them, or ``SPLIT_LEAF`` with no rep and children (K, I).
+    A flat tuple, since a state reads it every time.
 
     One pass over the mask gives each vertex's degree inside it, hence
-    the leaf test, ``lone``, the highest-degree vertex v (the smallest
-    such id) and ``tops``, every vertex of that degree.  In order: a
-    leaf mask is a leaf; else ``lone`` is taken out and the rest is a
-    leaf, or, when ``tops`` sees all the rest, splits SERIES into one
-    part per vertex of ``tops`` and the rest less ``tops``, or splits at
-    v when v is good, or into its components when it is disconnected, or
-    into its co-components when its complement is; else the rest takes
-    the tree's ``nonleaf_split``.
+    the leaf test, ``lone`` and the highest-degree vertex v (the smallest
+    such id).  In order: a leaf mask is a leaf; else ``lone`` is taken
+    out and the rest is a leaf, or, when v is good, a ``SPLIT_LEAF`` if
+    it is split and else splits at v, or splits into its components when
+    it is disconnected, or into its co-components when its complement
+    is; else the rest takes the tree's ``nonleaf_split``.
     """
     adj = ctx.adj
-    top, top_degree, tops, degree_sum, lone = -1, 0, 0, 0, 0
+    top, top_degree, lone = -1, 0, 0
+    degrees = []
     for u in bits(mask):
         d = (adj[u] & mask).bit_count()
+        degrees.append(d)
         if d > top_degree:
-            top, top_degree, tops = u, d, 1 << u
+            top, top_degree = u, d
         elif not d:
             lone |= 1 << u
-        elif d == top_degree:
-            tops |= 1 << u
-        degree_sum += d
-    kind = leaf_kind(mask.bit_count(), degree_sum // 2)
+    degree_sum = sum(degrees)
+    kind = leaf_kind(len(degrees), degree_sum // 2)
     if kind:
         return (0, 0, kind, None, ())
     rest = mask ^ lone
     kind = leaf_kind(rest.bit_count(), degree_sum // 2) if lone else None
     if kind:
         split = Split(kind)
-    elif top_degree == rest.bit_count() - 1:
-        # rest is no clique, so rest - tops is not empty
-        split = Split(NodeKind.SERIES, None, (*(1 << u for u in bits(tops)), rest ^ tops))
-    elif is_good_vertex(adj, rest, top):
-        split = antineighborhood_split(adj, rest, top)
+    elif (anti_edges := edge_count_within(adj, rest & ~adj[top], limit=1)) <= 1:
+        # v is good; when the rest is split, v is in its clique and no edge
+        # joins two of its non-neighbors
+        clique = None if anti_edges else split_clique(mask, degrees, degree_sum)
+        if clique:
+            split = (SPLIT_LEAF, None, (clique, rest ^ clique))
+        else:
+            split = antineighborhood_split(adj, rest, top)
     elif len(parts := components_mask(adj, rest)) > 1:
         split = Split(NodeKind.PARALLEL, None, tuple(parts))
     elif len(parts := components_mask(adj, rest, co=True)) > 1:
@@ -294,13 +304,20 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
         # is wholly forbidden has no MIS and is not walked
         out = []
         for part in children:
-            if not part & ~forb:
-                continue
-            if part & (part - 1):
+            if part & ~forb:
                 out += _topk(ctx, part, forb & part, k)
-            else:  # {u}, u's only MIS, costs no state
-                out.append((_rank(ctx, part), part))
         out = sorted(out)[:k]
+
+    elif kind is SPLIT_LEAF:
+        # a MIS holds at most one vertex c of the clique, and then is c and
+        # the independent vertices c misses, maximal since the clique sees
+        # c; one with none is the independent set, maximal when every
+        # clique vertex has a neighbor in it
+        clique, indep = children
+        cands = [1 << c | indep & ~adj[c] for c in bits(clique)]
+        if all(adj[c] & indep for c in bits(clique)):
+            cands.append(indep)
+        out = _ranked(ctx, (s for s in cands if not s & forb))[:k]
 
     else:
         cands = _leaf_candidates(adj, mask, kind)

@@ -160,6 +160,17 @@ def _threshold(rng: random.Random, n: int) -> Graph:
     return Graph(n, edges)
 
 
+def _threshold_masks(rng: random.Random, n: int) -> Graph:
+    """Vertices added one by one, each isolated or dominating, built on
+    adjacency masks: a dominating v sees every earlier vertex, and each
+    vertex sees every later dominating one."""
+    dominating = sum(1 << v for v in range(n) if rng.random() < 0.5)
+    return Graph.from_masks([
+        (((1 << v) - 1) if dominating >> v & 1 else 0) | dominating >> v + 1 << v + 1
+        for v in range(n)
+    ])
+
+
 def _cograph(rng: random.Random, n: int) -> Graph:
     """Random binary cotree: disjoint union or join at each node."""
     if n == 1:

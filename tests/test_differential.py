@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import _threshold_masks
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -63,6 +64,56 @@ def test_solver_matches_split_reference(n):
     assert infeasible >= 1
 
 
+def test_split_graphs_past_the_old_recursion_wall_are_one_state():
+    """Split n = 2,000 raised RecursionError as a chain of good vertices,
+    one stack frame per clique vertex.  As one split leaf it is one
+    state, under the default recursion limit, with and without demands;
+    the two disjoint demands inside the clique have no answer."""
+    limit = sys.getrecursionlimit()
+    n = 2000
+    inst = wl.split_graph(random.Random(n), n)
+    adj, wg = inst.adj(), WeightedGraph(Graph(inst.n, inst.edges), inst.weights)
+    stats: dict = {}
+    sol = solve_wid(wg, stats)
+    assert stats["subproblems"] == 1 and stats["max_k"] == 1
+    assert sol.weight == ref.split_optimum(adj, n, inst.weights, inst.clique)
+    ref.check_witness(adj, n, inst.weights, sorted(sol.vertices), sol.weight)
+
+    rng = random.Random(n + 1)
+    four = rng.sample(inst.clique, 4)
+    cases = [[rng.sample(range(n), 3) for _ in range(2)] for _ in range(3)]
+    cases += [[rng.sample(range(n // 2, n), 2)], [four[:2], four[2:]]]
+    infeasible = 0
+    for demands in cases:
+        want = ref.split_optimum(adj, n, inst.weights, inst.clique, demands)
+        got = solve_constrained(wg, demands)
+        if want is None:
+            infeasible += 1
+            assert got is None
+            continue
+        assert got is not None and got.weight == want
+        ref.check_witness(adj, n, inst.weights, sorted(got.vertices), got.weight, demands)
+    assert infeasible >= 1 and sys.getrecursionlimit() == limit
+
+
+def test_threshold_graph_of_four_thousand_vertices_is_one_state():
+    """A threshold graph is split, its clique the dominating vertices:
+    n = 4,000 raised RecursionError as a chain of good vertices."""
+    limit = sys.getrecursionlimit()
+    n = 4000
+    g = _threshold_masks(random.Random(n), n)
+    adj, weights = list(g._adj), tuple(1 + 7919 * v % 97 for v in range(n))
+    stats: dict = {}
+    sol = solve_wid(WeightedGraph(g, weights), stats)
+    assert stats["subproblems"] == 1
+    # a vertex is dominating when it sees every earlier vertex; vertex 0
+    # is left in the independent set, which sees only later clique vertices
+    clique = [v for v in range(1, n) if adj[v] & (1 << v) - 1 == (1 << v) - 1]
+    assert sol.weight == ref.split_optimum(adj, n, weights, clique)
+    ref.check_witness(adj, n, weights, sorted(sol.vertices), sol.weight)
+    assert sys.getrecursionlimit() == limit
+
+
 def _disjoint_p3s(rng: random.Random, n: int) -> wl.Inst:
     """n / 3 disjoint unit-weighted P3s."""
     edges = tuple(e for i in range(0, n, 3) for e in ((i, i + 1), (i + 1, i + 2)))
@@ -81,11 +132,11 @@ def _clique_less_an_edge(rng: random.Random, n: int) -> wl.Inst:
         (wl.threshold_graph, 400, 5 * 400, None),
         (wl.split_graph, 40, 2000, None),
         (wl.split_graph, 80, 5000, None),
-        (wl.split_graph, 400, 400 // 2 + 1, 1),
+        (wl.split_graph, 400, 1, 1),
         (wl.cograph, 1000, 800, None),
         (_disjoint_p3s, 3000, 2 * 1000 + 1, 1),
-        (wl.threshold_graph, 400, 100, None),
-        (_clique_less_an_edge, 1000, 2, 1),
+        (wl.threshold_graph, 400, 1, 1),
+        (_clique_less_an_edge, 1000, 1, 1),
     ],
     ids=["threshold", "split", "split80", "split400", "cograph1000", "p3s1000", "threshold400",
          "clique1000"],
@@ -96,18 +147,16 @@ def test_subproblem_count_guard(make, n, limit, max_k):
     quadratic count of weight overrides (threshold n = 400 took 158,404).
     Requiring a vertex by forbidding its neighbors, rather than keeping a
     forced set in the state, keeps split n = 80 off the 45,115 states it
-    took with one.  Splitting at a good highest-degree vertex before any
-    module search walks a split graph as one chain of good vertices,
-    one state per mask with k = 1 (split n = 400 took 499,468 states
-    with module search first).  Splitting a union or a join into all its
-    components at once, and taking isolated vertices out in the same
-    step, keeps cograph n = 1,000 at 768 states (1,771 as a chain of
-    binary module splits) and 1,000 disjoint P3s at one state for the
-    root and two per P3 (past the recursion limit as module splits).
-    Taking a mask's universal vertices out at once, as one-vertex SERIES
-    parts that cost no state, keeps threshold n = 400 at 97 states (175
-    with one good-vertex state per dominating vertex) and K_1000 less an
-    edge at two, the root and {0, 1} (a chain of 1,000 before)."""
+    took with one.  Answering a split mask as one leaf, which lists its
+    at most |K| + 1 MIS, keeps split n = 400 at one state (201 as a chain
+    of good vertices, 499,468 with module search first), and so threshold
+    n = 400 (97 with universal vertices peeled, 175 without) and K_1000
+    less an edge (1,000 as a chain), which are split too.  Splitting a
+    union or a join into all its components at once, and taking isolated
+    vertices out in the same step, keeps cograph n = 1,000 at most 800
+    states (1,771 as a chain of binary module splits) and 1,000 disjoint
+    P3s at one state for the root and two per P3 (past the recursion
+    limit as module splits)."""
     inst = make(random.Random(n), n)
     stats: dict = {}
     solve_wid(WeightedGraph(Graph(inst.n, inst.edges), inst.weights), stats)

@@ -15,7 +15,7 @@ from collections import Counter
 from itertools import chain, islice
 
 import pytest
-from conftest import _cograph, _split, _threshold
+from conftest import _cograph, _split, _threshold, _threshold_masks
 from test_substituted import relabel, substituted_graph
 
 from widom import decomposition, patterns
@@ -122,18 +122,13 @@ def test_split_test_matches_the_definition():
         want = _is_split_by_definition(g)
         assert decomposition.is_split_mask(g._adj, g.full_bits) == want, emit_graph(g)
         verdicts[want] += 1
+        if want:  # the clique read off the degrees leaves an independent set
+            degrees = [a.bit_count() for a in g._adj]
+            k = decomposition.split_clique(g.full_bits, degrees, sum(degrees))
+            assert all(
+                (a | 1 << u) & k == k if k >> u & 1 else not a & ~k for u, a in enumerate(g._adj)
+            ), emit_graph(g)
     assert min(verdicts.values()) >= 100
-
-
-def _threshold_masks(rng: random.Random, n: int) -> Graph:
-    """Vertices added one by one, each isolated or dominating, built on
-    adjacency masks: a dominating v sees every earlier vertex, and each
-    vertex sees every later dominating one."""
-    dominating = sum(1 << v for v in range(n) if rng.random() < 0.5)
-    return Graph.from_masks([
-        (((1 << v) - 1) if dominating >> v & 1 else 0) | dominating >> v + 1 << v + 1
-        for v in range(n)
-    ])
 
 
 def test_threshold_masks_match_the_edge_builder():

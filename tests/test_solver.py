@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from widom.decomposition import NodeKind, NotInClassError
 from widom.generators import bull, complete, cycle, empty, gnp, path, star, sun3
-from widom.graph import Graph, WeightedGraph, complement, disjoint_union, unit_weights
+from widom.graph import Graph, WeightedGraph, bits, complement, disjoint_union, unit_weights
 from widom import solver
 from widom.oracle import oracle_constrained, oracle_wid
 from widom.patterns import CO_P5, P5, is_free
@@ -259,7 +259,7 @@ def _with_universal_vertices(rng: random.Random, small: list[Graph]) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def test_universal_vertex_peel_matches_oracle_or_names_an_obstruction(family_graphs, monkeypatch):
+def test_universal_vertices_match_oracle_or_name_an_obstruction(family_graphs, monkeypatch):
     """Seeded graphs with universal vertices, under demands that require
     one (a demand inside the universal vertices) or forbid them all (a
     demand outside them, whose vertex sees every universal one).  An
@@ -267,15 +267,22 @@ def test_universal_vertex_peel_matches_oracle_or_names_an_obstruction(family_gra
     induced P5 or co-P5 of the input.  A demand inside the universal
     vertices is always answered, whatever the rest of the graph is: the
     one-vertex sets are its only MIS, and a good-vertex split at each
-    universal vertex answers it without walking the rest.  The solver
-    must have taken universal vertices out as one-vertex SERIES parts."""
-    peels = 0
+    universal vertex answers it without walking the rest.  A mask with a
+    universal vertex that is no leaf must be a split leaf, or split at a
+    universal vertex, which is good since its antineighborhood is itself."""
+    taken: Counter = Counter()
     split = solver._split
 
     def counted(ctx, mask):
-        nonlocal peels
-        shape = _, _, kind, _, children = split(ctx, mask)
-        peels += kind is NodeKind.SERIES and any(not c & (c - 1) for c in children)
+        shape = lone, _, kind, rep, _ = split(ctx, mask)
+        rest = mask ^ lone
+        if kind not in (NodeKind.LEAF_COMPLETE, NodeKind.LEAF_F) and any(
+            rest & ~ctx.adj[u] == 1 << u for u in bits(rest)
+        ):
+            assert kind is solver.SPLIT_LEAF or (
+                kind is NodeKind.ANTINEIGHBORHOOD and rest & ~ctx.adj[rep] == 1 << rep
+            ), (mask, kind, rep)
+            taken[kind] += 1
         return shape
 
     monkeypatch.setattr(solver, "_split", counted)
@@ -306,7 +313,70 @@ def test_universal_vertex_peel_matches_oracle_or_names_an_obstruction(family_gra
                 assert got is None
             else:
                 assert got is not None and (got.weight, got.vertices) == (want.value, want.witness)
-    assert answered >= 800 and refused >= 20 and peels >= 50, (answered, refused, peels)
+    assert answered >= 800 and refused >= 20, (answered, refused)
+    assert min(taken[solver.SPLIT_LEAF], taken[NodeKind.ANTINEIGHBORHOOD]) >= 300, taken
+
+
+def _random_split(rng: random.Random) -> tuple[Graph, set[int]]:
+    """A split graph on 2 to 12 vertices, randomly relabelled, and its
+    clique: the first k vertices, each seeing each other vertex with a
+    random probability."""
+    n = rng.randint(2, 12)
+    k, p = rng.randint(1, n - 1), rng.random()
+    perm = rng.sample(range(n), n)
+    edges = [(u, v) for u in range(k) for v in range(u + 1, n) if v < k or rng.random() < p]
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges]), {perm[u] for u in range(k)}
+
+
+def test_split_leaf_matches_oracle(monkeypatch):
+    """A split mask is one leaf that lists its MIS: each clique vertex c
+    with the independent vertices c misses, and the independent set when
+    every clique vertex sees it.  K = {0, 1, 2} and I = {3, 4} with
+    edges 0-3 and 1-4: 2 sees no vertex of I, so the cheapest
+    independent set I is no MIS, and demands on clique vertices pick one
+    clique vertex or none.  Then 400 seeded split graphs, with and
+    without demands, against the oracle."""
+    leaves = 0
+    split = solver._split
+
+    def counted(ctx, mask):
+        nonlocal leaves
+        shape = split(ctx, mask)
+        leaves += shape[2] is solver.SPLIT_LEAF
+        return shape
+
+    monkeypatch.setattr(solver, "_split", counted)
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]
+    wg = WeightedGraph(Graph(5, edges), (5, 9, 9, 1, 1))
+    for demands, want in (
+        ((), (6, {0, 4})),
+        ([[1]], (10, {1, 3})),
+        ([[2]], (11, {2, 3, 4})),
+        ([[1, 2]], (10, {1, 3})),
+        ([[0], [1]], None),
+    ):
+        got = solve_constrained(wg, demands)
+        assert (got and (got.weight, got.vertices)) == want, demands
+    # one leaf per solve; [[0], [1]] asks no query, since 0 sees 1
+    assert leaves == 4
+
+    rng = random.Random(2626)
+    answered = infeasible = 0
+    for _ in range(400):
+        g, clique = _random_split(rng)
+        wg = WeightedGraph(g, tuple(rng.randint(0, 20) for _ in range(g.n)))
+        cases = [(), [rng.sample(sorted(clique), rng.randint(1, len(clique)))]]
+        cases += [[rng.sample(range(g.n), rng.randint(1, min(3, g.n))) for _ in range(rng.randint(1, 2))]]
+        for ds in cases:
+            got = solve_constrained(wg, ds)
+            want = oracle_constrained(wg, [frozenset(d) for d in ds])
+            if want is None:
+                infeasible += 1
+                assert got is None
+            else:
+                answered += 1
+                assert got is not None and (got.weight, got.vertices) == (want.value, want.witness)
+    assert answered >= 1000 and infeasible >= 20 and leaves >= 300, (answered, infeasible, leaves)
 
 
 def test_wholly_forbidden_series_part_is_not_walked():

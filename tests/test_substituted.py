@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import reference as ref  # noqa: E402
-from widom.decomposition import build_tree, find_obstruction, tree_to_json  # noqa: E402
+from widom import solver  # noqa: E402
+from widom.decomposition import NodeKind, build_tree, find_obstruction, tree_to_json  # noqa: E402
 from widom.generators import bull, complete, cycle, empty, path, substitute  # noqa: E402
 from widom.graph import Graph, WeightedGraph, bits, mask_of  # noqa: E402
 from widom.oracle import oracle_constrained, oracle_wid  # noqa: E402
@@ -95,7 +97,19 @@ def test_substituted_corpus_is_in_class_and_large(substituted_corpus):
     assert all(is_free(wg.graph, (P5, CO_P5)) for wg in substituted_corpus[::6])
 
 
-def test_solver_matches_oracles_past_n_30(substituted_corpus):
+def test_solver_matches_oracles_past_n_30(substituted_corpus, monkeypatch):
+    """Split masks are leaves, so split graphs no longer walk chains of
+    good-vertex (ANTINEIGHBORHOOD) splits; composed graphs still do,
+    where split pieces sit in hosts that are not split."""
+    kinds: Counter = Counter()
+    split = solver._split
+
+    def counted(ctx, mask):
+        shape = split(ctx, mask)
+        kinds[shape[2]] += 1
+        return shape
+
+    monkeypatch.setattr(solver, "_split", counted)
     rng = random.Random(3051)
     infeasible = 0
     for wg in substituted_corpus:
@@ -118,6 +132,7 @@ def test_solver_matches_oracles_past_n_30(substituted_corpus):
             assert got_c is not None
             assert (got_c.weight, got_c.vertices) == (want_c.value, want_c.witness)
     assert 0 < infeasible < len(substituted_corpus)
+    assert kinds[NodeKind.ANTINEIGHBORHOOD] >= 1000 and kinds[solver.SPLIT_LEAF] >= 100, kinds
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3050])
