@@ -10,15 +10,15 @@ raises NotInClassError carrying a diagnostic witness when one exists.
 applies and hands out the representative and the two child masks.  It
 takes the input graph and a bitmask of its vertex ids, so ``build_tree``
 and the naive mode walk subsets of the input without relabeling.  Its
-two halves, ``leaf_kind`` and ``nonleaf_split``, are shared with the
-sound solver, whose answer does not depend on how a mask splits: it
-takes out isolated vertices, then universal vertices as one-vertex
-parts of a join, splits at its highest-degree vertex when that vertex
-is good, else into components or co-components (the n-ary PARALLEL and
-SERIES kinds, which the tree does not use), and falls back to
-``nonleaf_split`` last.  Tree nodes hold root-id
-masks too, and the JSON and DOT writers read vertex lists and sizes
-straight off them.
+two halves are ``leaf_kind`` and ``nonleaf_split``.  The sound solver,
+whose answer does not depend on how a mask splits, shares only
+``nonleaf_split``, as its last resort: it takes out isolated vertices,
+answers a split mask (``split_clique``) as one leaf, which covers both
+of the tree's leaf kinds, splits at its highest-degree vertex when that
+vertex is good, and else into components or co-components (the n-ary
+PARALLEL and SERIES kinds, which the tree does not use).  Tree nodes
+hold root-id masks too, and the JSON and DOT writers read vertex lists
+and sizes straight off them.
 
 The module a HOMOGENEOUS split uses is the first pair closure, in
 lexicographic pair order, that is a proper subset of the mask.
@@ -209,18 +209,6 @@ def is_prime(g: Graph) -> bool:
     return find_homogeneous_set(g) is None
 
 
-def find_good_vertex(g: Graph) -> int:
-    """Smallest-id vertex v with at most one edge in G - N(v).
-
-    Meant for prime, non-complete graphs with more than one edge; raises
-    NotInClassError when no vertex qualifies.
-    """
-    v = find_good_vertex_mask(g._adj, g.full_bits)
-    if v < 0:
-        _raise_not_in_class(g, g.full_bits)
-    return v
-
-
 def find_obstruction(g: Graph) -> Occurrence | None:
     """The first induced P5 of g in lexicographic order, else its first
     induced co-P5; None exactly when g is in the class.
@@ -265,15 +253,6 @@ class NodeKind(Enum):
     # solver takes them, the tree's case chain does not
     PARALLEL = "parallel"
     SERIES = "series"
-
-
-def _raise_not_in_class(g: Graph, mask: int) -> None:
-    """Raise NotInClassError for the subgraph of g on mask, in g's ids."""
-    for pat in (P5, CO_P5):
-        hit = next(induced_in_mask(g._adj, mask, pat), None)
-        if hit is not None:
-            raise NotInClassError(g, Occurrence(pat.name, hit))
-    raise NotInClassError(g, None)
 
 
 class Split(NamedTuple):
@@ -322,7 +301,11 @@ def nonleaf_split(g: Graph, mask: int) -> Split:
         return Split(NodeKind.HOMOGENEOUS, h, (module, (mask & ~module) | 1 << h))
     v = find_good_vertex_mask(adj, mask)
     if v < 0:
-        _raise_not_in_class(g, mask)
+        for pat in (P5, CO_P5):
+            hit = next(induced_in_mask(adj, mask, pat), None)
+            if hit is not None:
+                raise NotInClassError(g, Occurrence(pat.name, hit))
+        raise NotInClassError(g, None)
     return antineighborhood_split(adj, mask, v)
 
 

@@ -99,13 +99,31 @@ class EquivalenceReport:
 
 def check_reduction_equivalence(source: Graph, bound: int = 16) -> EquivalenceReport:
     """Brute-force both sides of the value equation id_w(G') = n + gamma(G),
-    for sources with at most ``bound`` vertices (OracleBoundError past it)."""
+    for sources with at most ``bound`` vertices (OracleBoundError past it).
+
+    When the values agree, the witness maps carry each optimum across:
+    the minimum dominating set forward to an optimal IDS of the target,
+    and the optimal IDS back to a minimum dominating set of the source.
+    A map that fails raises AssertionError.
+    """
     if source.n > bound:
         raise OracleBoundError(f"equivalence check limited to n <= {bound}, got n = {source.n}")
     red = build_wid_reduction(source)
     dom = oracle_min_dominating(source)
     idw = oracle_wid(red.target, bound=3 * max(source.n, 1))
-    return EquivalenceReport(dom, idw, idw.value == source.n + dom.value)
+    equal = idw.value == source.n + dom.value
+    if equal:
+        target = red.target
+        ids = dominating_to_ids(red, dom.witness)
+        if not (target.graph.is_maximal_independent(ids) and target.weight_of(ids) == idw.value):
+            raise AssertionError(f"{sorted(dom.witness)} maps to {sorted(ids)}, no optimal IDS")
+        back = ids_to_dominating(red, idw.witness)
+        covered = mask_of(back)
+        for v in back:
+            covered |= source.adj_bits(v)
+        if len(back) != dom.value or covered != source.full_bits:
+            raise AssertionError(f"{sorted(idw.witness)} maps to {sorted(back)}, no minimum dominating set")
+    return EquivalenceReport(dom, idw, equal)
 
 
 def dominating_to_ids(red: WidReduction, dom: frozenset[int]) -> frozenset[int]:

@@ -8,10 +8,11 @@ sets (MIS) of the subgraph on ``mask`` that avoid ``forb``, in rank
 order.  The case analysis of the decomposition tree splits that query
 into smaller ones of the same form:
 
-* a leaf lists its few MIS and filters them; a split mask, a clique K
-  and an independent set I, is a leaf too: a MIS holds at most one
-  vertex k of K, and is then {k} + (I - N(k)), or it is I, when every
-  vertex of K has a neighbor in I, so there are at most |K| + 1;
+* a split mask, a clique K and an independent set I, is a leaf that
+  lists its few MIS and filters them: a MIS holds at most one vertex k
+  of K, and is then {k} + (I - N(k)), or it is I, when every vertex of
+  K has a neighbor in I, so there are at most |K| + 1.  A complete mask
+  (K = the mask) and a mask with at most one edge are split too;
 * the isolated vertices of a mask are in every MIS of it, so a state
   that forbids one has no set, and otherwise adds them to each set of
   the rest;
@@ -41,23 +42,23 @@ N(f).  ``solve_constrained`` runs one top-1 query per way of picking a
 vertex from each demand, with the picked vertices' neighbors forbidden.
 The answer is the unique rank-minimum set, whichever split each mask
 takes, so the solver picks its own.  ``_split`` makes one degree pass
-over the mask and tries, in order:
+over the mask, takes out its isolated vertices, and tries, in order:
 
-1. the leaf test on the whole mask;
-2. taking out the isolated vertices, and the leaf test on the rest;
-3. when the rest's highest-degree vertex is good, a split leaf if no
+1. the empty split leaf, when no vertex is left;
+2. when the rest's highest-degree vertex is good, a split leaf if no
    edge joins two of its non-neighbors and the degrees pass the split
    test (Hammer and Simeone), else a split at that vertex;
-4. a PARALLEL split into the rest's components, when it is disconnected;
-5. a SERIES split into its co-components, when its complement is;
-6. ``decomposition.nonleaf_split``, the module search and smallest good
+3. a PARALLEL split into the rest's components, when it is disconnected;
+4. a SERIES split into its co-components, when its complement is;
+5. ``decomposition.nonleaf_split``, the module search and smallest good
    vertex of the tree's ``classify_mask``.
 
 A split graph, and so a threshold graph, is then one state, and a
 cograph splits a union or join of m parts at one node, not m - 1
 module steps.  A split mask always reaches the split test: its
 highest-degree vertex lies in a clique K of highest-degree vertices, so
-its non-neighbors lie in I, with no edge between them.  Other masks
+its non-neighbors lie in I, with no edge between them.  So a complete
+mask gives K = the mask, and one edge xy gives K = {x, y}.  Other masks
 skip the test's sort.  The isolated vertices, the case, the
 representative and the child masks depend only on the mask; ``_shape``
 asks for them lazily, once per mask per solve, so masks that forbidden
@@ -87,7 +88,6 @@ from .decomposition import (
     classify_mask,
     components_mask,
     edge_count_within,
-    leaf_kind,
     nonleaf_split,
     split_clique,
 )
@@ -153,12 +153,13 @@ def _split(ctx: _Ctx, mask: int) -> tuple:
     A flat tuple, since a state reads it every time.
 
     One pass over the mask gives each vertex's degree inside it, hence
-    the leaf test, ``lone`` and the highest-degree vertex v (the smallest
-    such id).  In order: a leaf mask is a leaf; else ``lone`` is taken
-    out and the rest is a leaf, or, when v is good, a ``SPLIT_LEAF`` if
-    it is split and else splits at v, or splits into its components when
+    ``lone`` and the highest-degree vertex v (the smallest such id).
+    ``lone`` is taken out; an empty rest is the ``SPLIT_LEAF`` (0, 0),
+    whose one MIS is empty.  Else, when v is good, the rest is a
+    ``SPLIT_LEAF`` if it is split, complete and one-edge masks among
+    them, and else splits at v; or it splits into its components when
     it is disconnected, or into its co-components when its complement
-    is; else the rest takes the tree's ``nonleaf_split``.
+    is; else it takes the tree's ``nonleaf_split``.
     """
     adj = ctx.adj
     top, top_degree, lone = -1, 0, 0
@@ -170,18 +171,13 @@ def _split(ctx: _Ctx, mask: int) -> tuple:
             top, top_degree = u, d
         elif not d:
             lone |= 1 << u
-    degree_sum = sum(degrees)
-    kind = leaf_kind(len(degrees), degree_sum // 2)
-    if kind:
-        return (0, 0, kind, None, ())
     rest = mask ^ lone
-    kind = leaf_kind(rest.bit_count(), degree_sum // 2) if lone else None
-    if kind:
-        split = Split(kind)
+    if not rest:
+        split = (SPLIT_LEAF, None, (0, 0))
     elif (anti_edges := edge_count_within(adj, rest & ~adj[top], limit=1)) <= 1:
         # v is good; when the rest is split, v is in its clique and no edge
         # joins two of its non-neighbors
-        clique = None if anti_edges else split_clique(mask, degrees, degree_sum)
+        clique = None if anti_edges else split_clique(mask, degrees, sum(degrees))
         if clique:
             split = (SPLIT_LEAF, None, (clique, rest ^ clique))
         else:
@@ -214,6 +210,14 @@ def _rank(ctx: _Ctx, s: int) -> int:
 
 def _ranked(ctx: _Ctx, sets: Iterable[int]) -> list[tuple[int, int]]:
     return sorted((_rank(ctx, s), s) for s in sets)
+
+
+def _product(a: list[tuple[int, int]], b: list[tuple[int, int]], k: int) -> list[tuple[int, int]]:
+    """The k best disjoint unions of a set from ``a`` and one from ``b``,
+    two lists of (rank, set mask) in rank order.  Ranks add up over the
+    union, and pair (i, j) has (i + 1)(j + 1) - 1 pairs ranked above it,
+    so row i needs only the first k // (i + 1) sets of ``b``."""
+    return sorted((ra + rb, ma | mb) for i, (ra, ma) in enumerate(a) for rb, mb in b[: k // (i + 1)])[:k]
 
 
 def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
@@ -261,12 +265,7 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
         if inner:
             drop = _rank(ctx, bh)
             outer = _topk(ctx, quotient, (forb & ~module) | outside, k)
-            # pair (i, j) has (i + 1)(j + 1) - 1 pairs ranked above it
-            joins = [
-                (ri + ro - drop, mi | (mo ^ bh))
-                for i, (ri, mi) in enumerate(inner)
-                for ro, mo in outer[: k // (i + 1)]
-            ]
+            joins = _product(inner, [(ro - drop, mo ^ bh) for ro, mo in outer], k)
             out = sorted(out + joins)[:k]
 
     elif kind is NodeKind.ANTINEIGHBORHOOD:
@@ -286,14 +285,10 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
             out = sorted(out + [e for e in rest if e[1] & nv])[:k]
 
     elif kind is NodeKind.PARALLEL:
-        # a MIS of a disjoint union is a MIS of each component, and ranks
-        # add up; fold the parts' lists pairwise as a module join does
+        # a MIS of a disjoint union is a union of one MIS per component
         out = [(0, 0)]
         for part in children:
-            sub = _topk(ctx, part, forb & part, k)
-            out = sorted(
-                (ro + rs, mo | ms) for i, (ro, mo) in enumerate(out) for rs, ms in sub[: k // (i + 1)]
-            )[:k]
+            out = _product(out, _topk(ctx, part, forb & part, k), k)
             if not out:
                 break
 
@@ -308,20 +303,16 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
                 out += _topk(ctx, part, forb & part, k)
         out = sorted(out)[:k]
 
-    elif kind is SPLIT_LEAF:
-        # a MIS holds at most one vertex c of the clique, and then is c and
-        # the independent vertices c misses, maximal since the clique sees
-        # c; one with none is the independent set, maximal when every
-        # clique vertex has a neighbor in it
+    else:
+        # a split leaf: a MIS holds at most one vertex c of the clique, and
+        # then is c and the independent vertices c misses, maximal since the
+        # clique sees c; one with none is the independent set, maximal when
+        # every clique vertex has a neighbor in it
         clique, indep = children
         cands = [1 << c | indep & ~adj[c] for c in bits(clique)]
         if all(adj[c] & indep for c in bits(clique)):
             cands.append(indep)
         out = _ranked(ctx, (s for s in cands if not s & forb))[:k]
-
-    else:
-        cands = _leaf_candidates(adj, mask, kind)
-        out = _ranked(ctx, (c for c in cands if not c & forb))[:k]
 
     if lone:
         out = [(r + lone_rank, s | lone) for r, s in out]

@@ -12,10 +12,11 @@ from widom.decomposition import (
     NotInClassError,
     build_tree,
     classify_mask,
-    find_good_vertex,
+    find_good_vertex_mask,
     find_homogeneous_set,
     find_module_mask,
     is_prime,
+    nonleaf_split,
     tree_to_dot,
     tree_to_json,
 )
@@ -44,25 +45,27 @@ def test_module_examples():
     assert is_prime(Graph(1, []))
 
 
+def _good_vertex(g: Graph) -> int:
+    return find_good_vertex_mask(g._adj, g.full_bits)
+
+
 def test_good_vertex_p4():
     # vertex 0 leaves {0,2,3} with the single edge (2,3)
-    assert find_good_vertex(path(4)) == 0
+    assert _good_vertex(path(4)) == 0
 
 
 def test_good_vertex_p5_and_c5():
     # the second path vertex sees {0,2}; the rest {1,3,4} has one edge
-    assert find_good_vertex(path(5)) == 1
-    assert find_good_vertex(cycle(5)) == 0
+    assert _good_vertex(path(5)) == 1
+    assert _good_vertex(cycle(5)) == 0
 
 
 def test_good_vertex_none_on_c6():
     # no vertex works, and the failure is explained by an obstruction
-    with pytest.raises(NotInClassError):
-        find_good_vertex(cycle(6))
-    from widom.decomposition import find_good_vertex_mask
-
     g = cycle(6)
-    assert find_good_vertex_mask(g._adj, g.full_bits) == -1
+    assert _good_vertex(g) == -1
+    with pytest.raises(NotInClassError):
+        nonleaf_split(g, g.full_bits)
 
 
 def test_p4_tree_shape():

@@ -268,17 +268,16 @@ def test_universal_vertices_match_oracle_or_name_an_obstruction(family_graphs, m
     vertices is always answered, whatever the rest of the graph is: the
     one-vertex sets are its only MIS, and a good-vertex split at each
     universal vertex answers it without walking the rest.  A mask with a
-    universal vertex that is no leaf must be a split leaf, or split at a
-    universal vertex, which is good since its antineighborhood is itself."""
+    universal vertex must be a split leaf, complete masks among them, or
+    split at a universal vertex, which is good since its antineighborhood
+    is itself."""
     taken: Counter = Counter()
     split = solver._split
 
     def counted(ctx, mask):
         shape = lone, _, kind, rep, _ = split(ctx, mask)
         rest = mask ^ lone
-        if kind not in (NodeKind.LEAF_COMPLETE, NodeKind.LEAF_F) and any(
-            rest & ~ctx.adj[u] == 1 << u for u in bits(rest)
-        ):
+        if any(rest & ~ctx.adj[u] == 1 << u for u in bits(rest)):
             assert kind is solver.SPLIT_LEAF or (
                 kind is NodeKind.ANTINEIGHBORHOOD and rest & ~ctx.adj[rep] == 1 << rep
             ), (mask, kind, rep)
@@ -377,6 +376,39 @@ def test_split_leaf_matches_oracle(monkeypatch):
                 answered += 1
                 assert got is not None and (got.weight, got.vertices) == (want.value, want.witness)
     assert answered >= 1000 and infeasible >= 20 and leaves >= 300, (answered, infeasible, leaves)
+
+
+def test_former_leaf_shapes_are_split_leaves(monkeypatch):
+    """Complete masks and masks with at most one edge are split masks, so
+    the split leaf answers them: the empty graph and an edgeless one (an
+    empty rest, K = I = 0), K_7 (K = the mask), K_7 or one edge beside
+    isolated vertices (K = the clique or the edge), and P3 0-1-2 (K =
+    {1, 2}, I = {0}).  Every mask met, under no demand and under each
+    one-vertex demand, is a split leaf, and each answer is the oracle's."""
+    kinds: Counter = Counter()
+    split = solver._split
+
+    def counted(ctx, mask):
+        shape = split(ctx, mask)
+        kinds[shape[2]] += 1
+        return shape
+
+    monkeypatch.setattr(solver, "_split", counted)
+    shapes = (
+        empty(0),
+        empty(5),
+        complete(7),
+        disjoint_union(complete(7), empty(3)),
+        disjoint_union(path(2), empty(4)),
+        path(3),
+    )
+    for g in shapes:
+        wg = WeightedGraph(g, tuple(1 + 7 * u % 5 for u in range(g.n)))
+        for ds in [()] + [[[u]] for u in range(g.n)]:
+            got = solve_constrained(wg, ds)
+            want = oracle_constrained(wg, [frozenset(d) for d in ds])
+            assert (got and (got.weight, got.vertices)) == (want and (want.value, want.witness)), (g.edges, ds)
+    assert set(kinds) == {solver.SPLIT_LEAF}, kinds
 
 
 def test_wholly_forbidden_series_part_is_not_walked():
