@@ -9,16 +9,17 @@ raises NotInClassError carrying a diagnostic witness when one exists.
 ``classify_mask`` is the tree's case chain: it decides which case
 applies and hands out the representative and the two child masks.  It
 takes the input graph and a bitmask of its vertex ids, so ``build_tree``
-and the naive mode walk subsets of the input without relabeling.  Its
-two halves are ``leaf_kind`` and ``nonleaf_split``.  The sound solver,
-whose answer does not depend on how a mask splits, shares only
-``nonleaf_split``, as its last resort: it takes out isolated vertices,
-answers a split mask (``split_clique``) as one leaf, which covers both
-of the tree's leaf kinds, splits at its highest-degree vertex when that
-vertex is good, and else into components or co-components (the n-ary
-PARALLEL and SERIES kinds, which the tree does not use).  Tree nodes
-hold root-id masks too, and the JSON and DOT writers read vertex lists
-and sizes straight off them.
+and the naive mode walk subsets of the input without relabeling.  It
+tests for the two leaf kinds, complete masks and masks with at most one
+edge, by edge count, and hands every other mask to ``nonleaf_split``.
+The sound solver, whose answer does not depend on how a mask splits,
+shares only ``nonleaf_split``, as its last resort: it takes out
+isolated vertices, answers a split mask (``split_clique``) as one leaf,
+which covers both of the tree's leaf kinds, splits at its
+highest-degree vertex when that vertex is good, and else into
+components or co-components (the n-ary PARALLEL and SERIES kinds, which
+the tree does not use).  Tree nodes hold root-id masks too, and the
+JSON and DOT writers read vertex lists and sizes straight off them.
 
 The module a HOMOGENEOUS split uses is the first pair closure, in
 lexicographic pair order, that is a proper subset of the mask.
@@ -278,17 +279,6 @@ def antineighborhood_split(adj: Sequence[int], mask: int, v: int) -> Split:
     return Split(NodeKind.ANTINEIGHBORHOOD, v, (mask & ~adj[v], mask & ~(1 << v)))
 
 
-def leaf_kind(size: int, edges: int) -> NodeKind | None:
-    """The leaf kind of a mask with ``size`` vertices and ``edges`` edges:
-    LEAF_COMPLETE when complete, else LEAF_F with at most one edge, else
-    None."""
-    if edges == size * (size - 1) // 2:
-        return NodeKind.LEAF_COMPLETE
-    if edges <= 1:
-        return NodeKind.LEAF_F
-    return None
-
-
 def nonleaf_split(g: Graph, mask: int) -> Split:
     """The split of a mask that is no leaf: a HOMOGENEOUS split at the
     first smallest-pair module, else an ANTINEIGHBORHOOD split at the
@@ -313,11 +303,13 @@ def classify_mask(g: Graph, mask: int) -> Split:
     """The case of the decomposition that applies to g's subgraph on mask.
 
     The tree's case chain, read by ``build_tree`` and the naive mode: a
-    leaf as ``leaf_kind`` says, else ``nonleaf_split``'s module or good
-    vertex.
+    complete leaf (LEAF_COMPLETE), else a leaf with at most one edge
+    (LEAF_F), else ``nonleaf_split``'s module or good vertex.
     """
-    kind = leaf_kind(mask.bit_count(), edge_count_within(g._adj, mask))
-    return Split(kind) if kind else nonleaf_split(g, mask)
+    size, edges = mask.bit_count(), edge_count_within(g._adj, mask)
+    if edges == size * (size - 1) // 2:
+        return Split(NodeKind.LEAF_COMPLETE)
+    return Split(NodeKind.LEAF_F) if edges <= 1 else nonleaf_split(g, mask)
 
 
 @dataclass(frozen=True)

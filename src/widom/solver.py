@@ -9,15 +9,17 @@ order.  The case analysis of the decomposition tree splits that query
 into smaller ones of the same form:
 
 * a split mask, a clique K and an independent set I, is a leaf that
-  lists its few MIS and filters them: a MIS holds at most one vertex k
-  of K, and is then {k} + (I - N(k)), or it is I, when every vertex of
-  K has a neighbor in I, so there are at most |K| + 1.  A complete mask
-  (K = the mask) and a mask with at most one edge are split too;
+  lists its few MIS (``_split_sets``) and filters them: a MIS holds at
+  most one vertex k of K, and is then {k} + (I - N(k)), or it is I,
+  when every vertex of K has a neighbor in I, so there are at most
+  |K| + 1.  A complete mask (K = the mask) and a mask with at most one
+  edge (K = the edge's ends) are split too;
 * the isolated vertices of a mask are in every MIS of it, so a state
   that forbids one has no set, and otherwise adds them to each set of
   the rest;
-* at a good vertex v, the MIS holding v are v plus a MIS of the
-  antineighborhood X, and there are at most two of those; the rest are
+* at a good vertex v, the MIS holding v are the MIS of the
+  antineighborhood X, where v is isolated; X has at most one edge, so
+  it is split, and its ``_split_sets`` are at most two; the rest are
   the MIS of G - v that meet N(v).  The MIS of G - v missing N(v) are
   the MIS of X that dominate N(v), so with s of those the first
   ``k + s`` sets of G - v hold the first k that meet it;
@@ -66,10 +68,11 @@ vertices prune away are never classified.  The tree (``build_tree``)
 keeps its binary case chain and its two leaf kinds.
 
 ``solve_naive_eq1`` is the deliberately literal mode, a fold over the
-nodes of the decomposition tree: it evaluates the two-term
-antineighborhood minimum and the bare module weight substitution with
-no demand tracking, patching undominated deleted vertices greedily into
-the witness.  Its value can undershoot the true optimum; the divergence
+nodes of the decomposition tree, whose leaves are split masks listed by
+``_split_sets`` too: it evaluates the two-term antineighborhood minimum
+and the bare module weight substitution with no demand tracking,
+patching undominated deleted vertices greedily into the witness.  Its
+value can undershoot the true optimum; the divergence
 is pinned by regression tests and surfaced via ``witness_is_mis`` and
 value comparison.
 """
@@ -104,20 +107,23 @@ class Solution:
     weight: int
 
 
-def _leaf_candidates(adj: Sequence[int], mask: int, kind: NodeKind) -> list[int]:
-    """The maximal independent sets of a leaf mask.
+def _split_sets(adj: Sequence[int], clique: int, indep: int) -> list[int]:
+    """The MIS of a split mask, a clique and an independent set.
 
-    A complete leaf has its single vertices (the empty mask has only the
-    empty set); a <=1-edge leaf has V, or V minus either endpoint.
+    A MIS holds at most one vertex c of the clique, and then is c and the
+    independent vertices c misses, maximal since the clique sees c; one
+    with none is the independent set, maximal when every clique vertex
+    has a neighbor in it.
     """
-    if kind is NodeKind.LEAF_COMPLETE:
-        return [1 << u for u in bits(mask)] or [0]
-    for u in bits(mask):
-        inside = adj[u] & mask
-        if inside:
-            x, y = u, next(bits(inside))
-            return [mask & ~(1 << x), mask & ~(1 << y)]
-    return [mask]
+    sets = [1 << c | indep & ~adj[c] for c in bits(clique)]
+    if all(adj[c] & indep for c in bits(clique)):
+        sets.append(indep)
+    return sets
+
+
+def _edge_ends(adj: Sequence[int], mask: int) -> int:
+    """The two ends of the one edge inside ``mask``, or 0 when it has none."""
+    return next((1 << u | adj[u] & mask for u in bits(mask) if adj[u] & mask), 0)
 
 
 class _Ctx:
@@ -273,9 +279,9 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
         bv = 1 << rep
         nv = adj[rep] & mask
         # the MIS holding v are those of the antineighborhood, where v is
-        # isolated: at most two, since it has at most one edge
-        held = _leaf_candidates(adj, anti, NodeKind.LEAF_F)
-        held = [s for s in held if not s & forb & ~bv]
+        # isolated: at most two, since it is split with at most one edge
+        ends = _edge_ends(adj, anti)
+        held = [s for s in _split_sets(adj, ends, anti ^ ends) if not s & forb & ~bv]
         out = [] if forb & bv else _ranked(ctx, held)
         if nv & ~forb:
             # v not chosen, so a neighbor must be; the MIS of G - v that
@@ -304,15 +310,8 @@ def _topk(ctx: _Ctx, mask: int, forb: int, k: int) -> list[tuple[int, int]]:
         out = sorted(out)[:k]
 
     else:
-        # a split leaf: a MIS holds at most one vertex c of the clique, and
-        # then is c and the independent vertices c misses, maximal since the
-        # clique sees c; one with none is the independent set, maximal when
-        # every clique vertex has a neighbor in it
-        clique, indep = children
-        cands = [1 << c | indep & ~adj[c] for c in bits(clique)]
-        if all(adj[c] & indep for c in bits(clique)):
-            cands.append(indep)
-        out = _ranked(ctx, (s for s in cands if not s & forb))[:k]
+        # a split leaf, children (K, I)
+        out = _ranked(ctx, (s for s in _split_sets(adj, *children) if not s & forb))[:k]
 
     if lone:
         out = [(r + lone_rank, s | lone) for r, s in out]
@@ -416,8 +415,10 @@ def _naive(
             a = attrs.get(v) or base[v]
             return _NSol(drop.value, drop.foot | a.foot)
         return drop
+    # a leaf is split, with the whole mask or its one edge as the clique
+    clique = node.mask if kind is NodeKind.LEAF_COMPLETE else _edge_ends(adj, node.mask)
     best: _NSol | None = None
-    for cand in _leaf_candidates(adj, node.mask, kind):
+    for cand in _split_sets(adj, clique, node.mask ^ clique):
         chosen = [attrs.get(u) or base[u] for u in bits(cand)]
         sol = _NSol(
             sum(a.value for a in chosen),
@@ -456,8 +457,11 @@ def eq1_literal(wg: WeightedGraph, v: int) -> int:
 
     This is the two-term recurrence evaluated faithfully; it is *not*
     a correct expression for id_w(G) and exists to demonstrate that.
-    Both children are vertex masks of G, solved under one memo.
+    Both children are vertex masks of G, solved under one memo.  Raises
+    ValueError when v is not a vertex of G.
     """
+    if not 0 <= v < wg.n:
+        raise ValueError(f"vertex {v} out of range")
     ctx = _Ctx(wg)
     children = antineighborhood_split(ctx.adj, wg.graph.full_bits, v).children
     return min(_solution(wg, _topk(ctx, child, 0, 1)[0][1]).weight for child in children)

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widom.decomposition import NodeKind, NotInClassError
+from widom.decomposition import NodeKind, NotInClassError, build_tree
 from widom.generators import bull, complete, cycle, empty, gnp, path, star, sun3
-from widom.graph import Graph, WeightedGraph, bits, complement, disjoint_union, unit_weights
+from widom.graph import Graph, WeightedGraph, bits, complement, disjoint_union, induced_subgraph, unit_weights
 from widom import solver
-from widom.oracle import oracle_constrained, oracle_wid
+from widom.oracle import enumerate_mis, oracle_constrained, oracle_wid
 from widom.patterns import CO_P5, P5, is_free
 from conftest import _threshold
+from test_substituted import substituted_graph
 from widom.solver import (
     eq1_literal,
     solve_constrained,
@@ -411,6 +412,59 @@ def test_former_leaf_shapes_are_split_leaves(monkeypatch):
     assert set(kinds) == {solver.SPLIT_LEAF}, kinds
 
 
+def _mis_masks(g: Graph, mask: int) -> list[int]:
+    """The MIS of g's subgraph on ``mask``, by the oracle, as root-id masks."""
+    sub, ids = induced_subgraph(g, bits(mask))
+    back = {new: old for old, new in ids.items()}
+    return sorted(sum(1 << back[u] for u in s) for s in enumerate_mis(sub, bound=64))
+
+
+def test_split_sets_match_oracle_on_leaves_and_antineighborhoods(
+    inclass_corpus, substitution_corpus, monkeypatch
+):
+    """``_split_sets`` lists the MIS of a split mask, given its clique K
+    and independent set I.  Besides the split leaf, it serves the tree's
+    leaves in the naive mode (K = the mask when complete, else the ends
+    of its one edge) and a good vertex's antineighborhood in the sound
+    mode (K = the ends of its one edge, or 0).  Every tree leaf of both
+    corpora, and every antineighborhood met solving seeded composed
+    graphs, against the oracle."""
+    leaves: Counter = Counter()
+    for wg in inclass_corpus + substitution_corpus:
+        g = wg.graph
+        for node in build_tree(g).root.walk():
+            if node.children:
+                continue
+            mask = node.mask
+            clique = mask if node.kind is NodeKind.LEAF_COMPLETE else solver._edge_ends(g._adj, mask)
+            assert sorted(solver._split_sets(g._adj, clique, mask ^ clique)) == _mis_masks(g, mask)
+            leaves[node.kind, min(clique.bit_count(), 3)] += 1
+    shapes = [(NodeKind.LEAF_F, 0), (NodeKind.LEAF_F, 2)] + [(NodeKind.LEAF_COMPLETE, i) for i in (1, 2, 3)]
+    assert min(leaves[shape] for shape in shapes) >= 50, leaves
+
+    antis: set[int] = set()
+    split = solver._split
+
+    def caught(ctx, mask):
+        shape = split(ctx, mask)
+        if shape[2] is NodeKind.ANTINEIGHBORHOOD:
+            antis.add(shape[4][0])
+        return shape
+
+    monkeypatch.setattr(solver, "_split", caught)
+    rng = random.Random(2828)
+    ends: Counter = Counter()
+    for lo in range(30, 110, 2):
+        g = substituted_graph(rng, lo)
+        solve_wid(unit_weights(g))
+        for anti in antis:
+            clique = solver._edge_ends(g._adj, anti)
+            assert sorted(solver._split_sets(g._adj, clique, anti ^ clique)) == _mis_masks(g, anti)
+            ends[clique.bit_count()] += 1
+        antis.clear()
+    assert min(ends[0], ends[2]) >= 300, ends
+
+
 def test_wholly_forbidden_series_part_is_not_walked():
     """A SERIES part whose every vertex is forbidden has no MIS, so the
     prime C6, which has no good vertex, is never walked when a demand
@@ -455,6 +509,13 @@ def test_eq1_literal_star():
     wg = WeightedGraph(star(3), (10, 1, 1, 1))
     assert eq1_literal(wg, 1) == 2
     assert oracle_wid(wg).value == 3
+
+
+def test_eq1_literal_vertex_validation():
+    wg = unit_weights(path(4))
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+            eq1_literal(wg, v)
 
 
 def test_naive_pinned_star():
