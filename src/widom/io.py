@@ -177,15 +177,6 @@ def emit_graph(g: Graph | WeightedGraph, meta: dict | None = None) -> str:
     return "".join(out)
 
 
-def extract_meta(text: str) -> dict | None:
-    """Read back the '# meta {...}' comment emit_graph may have added."""
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("# meta "):
-            return json.loads(stripped[len("# meta "):])
-    return None
-
-
 def parse_partition_file(path: str | Path, n: int) -> tuple[frozenset[int], frozenset[int]]:
     """The A and B sides in a JSON partition file; see ``partition_sides``."""
     try:

@@ -47,9 +47,19 @@ takes, so the solver picks its own.  ``_split`` makes one degree pass
 over the mask, takes out its isolated vertices, and tries, in order:
 
 1. the empty split leaf, when no vertex is left;
-2. when the rest's highest-degree vertex is good, a split leaf if no
-   edge joins two of its non-neighbors and the degrees pass the split
-   test (Hammer and Simeone), else a split at that vertex;
+2. when the rest's highest-degree vertex v is good, with X its
+   antineighborhood (v included, at most one edge):
+
+   a. a split leaf, if X has no edge and the degrees pass the split
+      test (Hammer and Simeone);
+   b. a PARALLEL split into X's edge xy and the other vertices, when
+      neither x nor y sees N(v).  No search is needed: with no vertex
+      isolated, every other vertex of X sees N(v), and N(v) + v is
+      connected, so that is the only way the rest is disconnected;
+   c. a SERIES split into the rest's co-components, when a search in
+      the complement from X, which is connected there since v sees
+      none of it, stops short of the rest;
+   d. else a split at v;
 3. a PARALLEL split into the rest's components, when it is disconnected;
 4. a SERIES split into its co-components, when its complement is;
 5. ``decomposition.nonleaf_split``, the module search and smallest good
@@ -57,15 +67,20 @@ over the mask, takes out its isolated vertices, and tries, in order:
 
 A split graph, and so a threshold graph, is then one state, and a
 cograph splits a union or join of m parts at one node, not m - 1
-module steps.  A split mask always reaches the split test: its
-highest-degree vertex lies in a clique K of highest-degree vertices, so
-its non-neighbors lie in I, with no edge between them.  So a complete
-mask gives K = the mask, and one edge xy gives K = {x, y}.  Other masks
-skip the test's sort.  The isolated vertices, the case, the
-representative and the child masks depend only on the mask; ``_shape``
-asks for them lazily, once per mask per solve, so masks that forbidden
-vertices prune away are never classified.  The tree (``build_tree``)
-keeps its binary case chain and its two leaf kinds.
+module steps.  A cograph of two or more vertices is a union or a join,
+so its masks never split at a good vertex, whose held sets would grow
+k: every cograph state has k = 1.  Trying the union and join tests on
+every mask first, not only past a good vertex, was measured to cost
+composed graphs more work than it saves.  A split mask always reaches
+the split test: its highest-degree vertex lies in a clique K of
+highest-degree vertices, so its non-neighbors lie in I, with no edge
+between them.  So a complete mask gives K = the mask, and one edge xy
+gives K = {x, y}.  Other masks skip the test's sort.  The isolated
+vertices, the case, the representative and the child masks depend only
+on the mask; ``_shape`` asks for them lazily, once per mask per solve,
+so masks that forbidden vertices prune away are never classified.  The
+tree (``build_tree``) keeps its binary case chain and its two leaf
+kinds.
 
 ``solve_naive_eq1`` is the deliberately literal mode, a fold over the
 nodes of the decomposition tree, whose leaves are split masks listed by
@@ -126,6 +141,27 @@ def _edge_ends(adj: Sequence[int], mask: int) -> int:
     return next((1 << u | adj[u] & mask for u in bits(mask) if adj[u] & mask), 0)
 
 
+def _co_reach(adj: Sequence[int], mask: int, seed: int) -> int:
+    """The co-component of ``seed``, a set connected in the complement, in
+    the complement of the subgraph on ``mask``.
+
+    A vertex not reached yet stays unreached by a round exactly when it
+    sees every vertex of the frontier, so each round intersects the
+    frontier's neighborhoods, and stops once that is empty: then every
+    vertex is reached.
+    """
+    reach = frontier = seed
+    while frontier and reach != mask:
+        unseen = missed = mask ^ reach
+        for u in bits(frontier):
+            missed &= adj[u]
+            if not missed:
+                break
+        frontier = unseen ^ missed
+        reach |= frontier
+    return reach
+
+
 class _Ctx:
     """Per-solve state of the sound mode: the graph, the shape cache, the
     memo and the weights.
@@ -163,9 +199,10 @@ def _split(ctx: _Ctx, mask: int) -> tuple:
     ``lone`` is taken out; an empty rest is the ``SPLIT_LEAF`` (0, 0),
     whose one MIS is empty.  Else, when v is good, the rest is a
     ``SPLIT_LEAF`` if it is split, complete and one-edge masks among
-    them, and else splits at v; or it splits into its components when
-    it is disconnected, or into its co-components when its complement
-    is; else it takes the tree's ``nonleaf_split``.
+    them, else a union or a join when it is one, else splits at v.  When
+    v is not good, the rest splits into its components when it is
+    disconnected, or into its co-components when its complement is;
+    else it takes the tree's ``nonleaf_split``.
     """
     adj = ctx.adj
     top, top_degree, lone = -1, 0, 0
@@ -180,12 +217,20 @@ def _split(ctx: _Ctx, mask: int) -> tuple:
     rest = mask ^ lone
     if not rest:
         split = (SPLIT_LEAF, None, (0, 0))
-    elif (anti_edges := edge_count_within(adj, rest & ~adj[top], limit=1)) <= 1:
+    elif (anti_edges := edge_count_within(adj, anti := rest & ~adj[top], limit=1)) <= 1:
         # v is good; when the rest is split, v is in its clique and no edge
         # joins two of its non-neighbors
         clique = None if anti_edges else split_clique(mask, degrees, sum(degrees))
+        ends = _edge_ends(adj, anti) if anti_edges else 0
         if clique:
             split = (SPLIT_LEAF, None, (clique, rest ^ clique))
+        elif ends and all(adj[u] & rest == ends ^ 1 << u for u in bits(ends)):
+            # with no vertex isolated, only that edge can be a component
+            split = Split(NodeKind.PARALLEL, None, (ends, rest ^ ends))
+        elif _co_reach(adj, rest, anti) != rest:
+            # v sees none of its antineighborhood, so that is connected in
+            # the complement, and the search from it finds its co-component
+            split = Split(NodeKind.SERIES, None, tuple(components_mask(adj, rest, co=True)))
         else:
             split = antineighborhood_split(adj, rest, top)
     elif len(parts := components_mask(adj, rest)) > 1:

@@ -14,7 +14,7 @@ import widom
 from widom.cli import _build_parser, main
 from widom.generators import domino, path, sun3
 from widom.graph import WeightedGraph
-from widom.io import emit_graph, extract_meta, parse_graph, parse_graph_file
+from widom.io import emit_graph, parse_graph, parse_graph_file
 from widom.satgraph import find_sat_partition
 
 
@@ -33,6 +33,13 @@ def _run(capsys, *argv):
 
 def _record(out: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
+
+
+def _meta(text: str) -> dict:
+    """The record of the '# meta {...}' line that ``reduce`` prints last."""
+    last = text.strip().splitlines()[-1]
+    assert last.startswith("# meta "), last
+    return json.loads(last[len("# meta "):])
 
 
 def test_solve_sound(p4_file, capsys):
@@ -153,7 +160,7 @@ def test_reduce_wid_meta_and_solve(tmp_path, capsys):
     src.write_text(emit_graph(path(3)))
     code, out, _ = _run(capsys, "reduce", str(src), "--wid")
     assert code == 0
-    meta = extract_meta(out)
+    meta = _meta(out)
     assert meta["construction"] == "wid"
     assert meta["a_side"] == [2, 5, 8]
     wg = parse_graph(out)
@@ -175,7 +182,7 @@ def test_reduce_gamma_partition_file(tmp_path, capsys):
         capsys, "reduce", str(src), "--gamma", "0", "1", "--partition", str(part)
     )
     assert code == 0
-    meta = extract_meta(out)
+    meta = _meta(out)
     assert meta["new_vertices"] == [3, 4, 5]
     g = parse_graph(out)
     assert g.n == 6 and len(g.edges) == 6

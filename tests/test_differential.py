@@ -133,7 +133,7 @@ def _clique_less_an_edge(rng: random.Random, n: int) -> wl.Inst:
         (wl.split_graph, 40, 2000, None),
         (wl.split_graph, 80, 5000, None),
         (wl.split_graph, 400, 1, 1),
-        (wl.cograph, 1000, 800, None),
+        (wl.cograph, 1000, 600, 1),
         (_disjoint_p3s, 3000, 2 * 1000 + 1, 1),
         (wl.threshold_graph, 400, 1, 1),
         (_clique_less_an_edge, 1000, 1, 1),
@@ -153,10 +153,12 @@ def test_subproblem_count_guard(make, n, limit, max_k):
     n = 400 (97 with universal vertices peeled, 175 without) and K_1000
     less an edge (1,000 as a chain), which are split too.  Splitting a
     union or a join into all its components at once, and taking isolated
-    vertices out in the same step, keeps cograph n = 1,000 at most 800
+    vertices out in the same step, keeps cograph n = 1,000 at most 600
     states (1,771 as a chain of binary module splits) and 1,000 disjoint
     P3s at one state for the root and two per P3 (past the recursion
-    limit as module splits)."""
+    limit as module splits).  Testing for a union or a join before
+    splitting at a good vertex keeps every cograph state at k = 1 (21
+    with the good vertex first, whose held sets grow k)."""
     inst = make(random.Random(n), n)
     stats: dict = {}
     solve_wid(WeightedGraph(Graph(inst.n, inst.edges), inst.weights), stats)

@@ -12,7 +12,6 @@ from widom.io import (
     GraphFormatError,
     PartitionError,
     emit_graph,
-    extract_meta,
     parse_dimacs,
     parse_graph,
     parse_partition_file,
@@ -138,14 +137,6 @@ def test_read_text_numbers_lines_as_the_parser_does(tmp_path, data, line):
     # the line that holds the bad byte, as parse_graph numbers the text's lines
     text = data.decode(errors="replace")
     assert next(i for i, s in enumerate(text.splitlines(), 1) if "\ufffd" in s) == line
-
-
-def test_meta_round_trip():
-    g = Graph(2, [(0, 1)])
-    text = emit_graph(g, meta={"construction": "star", "k": 3})
-    assert extract_meta(text) == {"construction": "star", "k": 3}
-    assert parse_graph(text) == g
-    assert extract_meta("2 1\n0 1\n") is None
 
 
 @settings(max_examples=150, deadline=None)

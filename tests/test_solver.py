@@ -267,21 +267,22 @@ def test_universal_vertices_match_oracle_or_name_an_obstruction(family_graphs, m
     answer is the oracle's value and witness, and a refusal names an
     induced P5 or co-P5 of the input.  A demand inside the universal
     vertices is always answered, whatever the rest of the graph is: the
-    one-vertex sets are its only MIS, and a good-vertex split at each
-    universal vertex answers it without walking the rest.  A mask with a
-    universal vertex must be a split leaf, complete masks among them, or
-    split at a universal vertex, which is good since its antineighborhood
-    is itself."""
+    one-vertex sets are its only MIS, and the SERIES split of a mask
+    with a universal vertex answers it without walking the wholly
+    forbidden rest.  A mask with a universal vertex must be a split
+    leaf, complete masks among them, or a SERIES split in which each
+    universal vertex is a part of its own, being a co-component."""
     taken: Counter = Counter()
     split = solver._split
 
     def counted(ctx, mask):
-        shape = lone, _, kind, rep, _ = split(ctx, mask)
+        shape = lone, _, kind, _, children = split(ctx, mask)
         rest = mask ^ lone
-        if any(rest & ~ctx.adj[u] == 1 << u for u in bits(rest)):
+        universal = {1 << u for u in bits(rest) if rest & ~ctx.adj[u] == 1 << u}
+        if universal:
             assert kind is solver.SPLIT_LEAF or (
-                kind is NodeKind.ANTINEIGHBORHOOD and rest & ~ctx.adj[rep] == 1 << rep
-            ), (mask, kind, rep)
+                kind is NodeKind.SERIES and universal <= set(children)
+            ), (mask, kind, children)
             taken[kind] += 1
         return shape
 
@@ -314,7 +315,7 @@ def test_universal_vertices_match_oracle_or_name_an_obstruction(family_graphs, m
             else:
                 assert got is not None and (got.weight, got.vertices) == (want.value, want.witness)
     assert answered >= 800 and refused >= 20, (answered, refused)
-    assert min(taken[solver.SPLIT_LEAF], taken[NodeKind.ANTINEIGHBORHOOD]) >= 300, taken
+    assert min(taken[solver.SPLIT_LEAF], taken[NodeKind.SERIES]) >= 300, taken
 
 
 def _random_split(rng: random.Random) -> tuple[Graph, set[int]]:
@@ -454,7 +455,7 @@ def test_split_sets_match_oracle_on_leaves_and_antineighborhoods(
     monkeypatch.setattr(solver, "_split", caught)
     rng = random.Random(2828)
     ends: Counter = Counter()
-    for lo in range(30, 110, 2):
+    for lo in range(30, 170, 2):
         g = substituted_graph(rng, lo)
         solve_wid(unit_weights(g))
         for anti in antis:
@@ -469,9 +470,9 @@ def test_wholly_forbidden_series_part_is_not_walked():
     """A SERIES part whose every vertex is forbidden has no MIS, so the
     prime C6, which has no good vertex, is never walked when a demand
     forbids all of it.  C6 joined with one vertex u, under [[u]]: the
-    answer is {u}, as the good-vertex split at u gives when all of N(u)
-    is forbidden.  C6 joined with three disjoint edges, under [[0]]: the
-    set lies in the three edges, a join's co-components."""
+    answer is {u}, a SERIES part of its own, since the demand forbids
+    N(u), the whole C6.  C6 joined with three disjoint edges, under
+    [[0]]: the set lies in the three edges, a join's co-components."""
     for g, u in ((_join(cycle(6), Graph(1)), 6), (_join(Graph(6, [(0, 1), (2, 3), (4, 5)]), cycle(6)), 0)):
         wg = unit_weights(g)
         got = solve_constrained(wg, [[u]])
@@ -479,6 +480,45 @@ def test_wholly_forbidden_series_part_is_not_walked():
         assert got is not None and (got.weight, got.vertices) == (want.value, want.witness)
         with pytest.raises(NotInClassError):
             solve_wid(wg)
+
+
+def test_unions_and_joins_split_before_the_good_vertex():
+    """When the highest-degree vertex v is good and the rest is not split,
+    a union or a join splits before v.  P4 0-1-2-3 beside the edge 4-5:
+    v = 1, its antineighborhood {1, 3, 4, 5} holds the edge 4-5, which
+    sees nothing else, so the mask is PARALLEL ({4, 5}, the P4).  P4
+    joined with P4: v = 1 sees all but 3, and the complement search from
+    {1, 3} stops at the first P4, so the mask is SERIES over the two.
+    Each answer, unconstrained and under each one-vertex demand, is the
+    oracle's."""
+    for g, kind, parts in (
+        (disjoint_union(path(4), path(2)), NodeKind.PARALLEL, (0b110000, 0b1111)),
+        (_join(path(4), path(4)), NodeKind.SERIES, (0b1111, 0b11110000)),
+    ):
+        wg = WeightedGraph(g, tuple(1 + 7 * u % 5 for u in range(g.n)))
+        assert solver._shape(solver._Ctx(wg), g.full_bits)[2:] == (kind, None, parts)
+        for ds in [()] + [[[u]] for u in range(g.n)]:
+            got = solve_constrained(wg, ds)
+            want = oracle_constrained(wg, [frozenset(d) for d in ds])
+            assert (got and (got.weight, got.vertices)) == (want and (want.value, want.witness)), (kind, ds)
+
+
+def test_join_of_six_hundred_small_unions_is_one_series_split():
+    """The join of 600 copies of K2 + K1 (n = 1,800) is one SERIES split
+    into 600 parts, each an edge beside an isolated vertex, so a split
+    leaf: 601 states at k = 1.  With the good vertex first it was a chain
+    of good-vertex splits, k growing by one per copy, and it raised
+    RecursionError."""
+    k = 600
+    full = (1 << 3 * k) - 1
+    adj = []
+    for i in range(k):
+        others = full ^ 7 << 3 * i
+        adj += [others | 2 << 3 * i, others | 1 << 3 * i, others]
+    stats: dict = {}
+    sol = solve_wid(unit_weights(Graph.from_masks(adj)), stats)
+    assert sol.weight == 2 and sol.vertices == frozenset({0, 2})
+    assert stats["max_k"] == 1 and stats["subproblems"] <= k + 1, stats
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,9 @@ def test_substituted_corpus_is_in_class_and_large(substituted_corpus):
 def test_solver_matches_oracles_past_n_30(substituted_corpus, monkeypatch):
     """Split masks are leaves, so split graphs no longer walk chains of
     good-vertex (ANTINEIGHBORHOOD) splits; composed graphs still do,
-    where split pieces sit in hosts that are not split."""
+    where split pieces sit in hosts that are not split.  A union or a
+    join splits as one before its good vertex does, so 20 more composed
+    graphs beside the corpus keep the count of good-vertex splits up."""
     kinds: Counter = Counter()
     split = solver._split
 
@@ -110,9 +112,14 @@ def test_solver_matches_oracles_past_n_30(substituted_corpus, monkeypatch):
         return shape
 
     monkeypatch.setattr(solver, "_split", counted)
+    more = random.Random(3052)
+    graphs = substituted_corpus + [
+        WeightedGraph(g, tuple(more.randint(0, 100) for _ in range(g.n)))
+        for g in (substituted_graph(more, 30 + i % 21) for i in range(20))
+    ]
     rng = random.Random(3051)
     infeasible = 0
-    for wg in substituted_corpus:
+    for wg in graphs:
         got, want = solve_wid(wg), oracle_wid(wg, bound=60)
         assert (got.weight, got.vertices) == (want.value, want.witness)
         assert solve_naive_eq1(wg).value <= got.weight
@@ -131,7 +138,7 @@ def test_solver_matches_oracles_past_n_30(substituted_corpus, monkeypatch):
         else:
             assert got_c is not None
             assert (got_c.weight, got_c.vertices) == (want_c.value, want_c.witness)
-    assert 0 < infeasible < len(substituted_corpus)
+    assert 0 < infeasible < len(graphs)
     assert kinds[NodeKind.ANTINEIGHBORHOOD] >= 1000 and kinds[solver.SPLIT_LEAF] >= 100, kinds
 
 
